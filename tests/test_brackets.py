@@ -1,11 +1,15 @@
 import math
 import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubar.brackets import (
+    Bracket,
     LinkingExpr,
-    _moves,
     canonicalize,
     evaluate,
     evaluate_detailed,
@@ -18,6 +22,92 @@ from mubar.brackets import (
     weight,
 )
 from mubar.errors import ParseError, PreconditionError
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the orbit search canonicalize used before it re-rooted the
+# linking tree.  It lists the whole equivalence orbit by breadth-first
+# search and picks the least member under _selection_key.
+
+
+def _node_swaps(tree: Bracket):
+    """Trees obtained by swapping exactly one node of tree (any depth)."""
+    if isinstance(tree, int):
+        return
+    left, right = tree
+    yield (right, left)
+    for swapped in _node_swaps(left):
+        yield (swapped, right)
+    for swapped in _node_swaps(right):
+        yield (left, swapped)
+
+
+def _moves(tree: Bracket):
+    """Neighbouring linkings with the sign multiplier of the relation."""
+    left, right = tree
+    if not isinstance(left, int):
+        yield (left[0], (left[1], right)), 1
+    if not isinstance(right, int):
+        yield ((left, right[0]), right[1]), 1
+    for swapped in _node_swaps(left):
+        yield (swapped, right), -1
+    for swapped in _node_swaps(right):
+        yield (left, swapped), -1
+
+
+def _imbalance(tree: Bracket) -> int:
+    return abs(weight(tree[0]) - weight(tree[1]))
+
+
+@lru_cache(maxsize=None)
+def _side_stats(tree: Bracket) -> tuple[int, int, int]:
+    # (parenthesis pairs in render, inverted leaf pairs, compound pairs
+    # with the smaller side first) -- the costs of the tie-break order.
+    if isinstance(tree, int):
+        return (0, 0, 0)
+    left, right = tree
+    pl, il, ul = _side_stats(left)
+    pr, ir, ur = _side_stats(right)
+    parens = pl + pr + (0 if isinstance(left, int) else 1)
+    inverted = il + ir
+    if isinstance(left, int) and isinstance(right, int) and left > right:
+        inverted += 1
+    unbalanced = ul + ur
+    if not isinstance(left, int) and not isinstance(right, int):
+        if weight(left) < weight(right):
+            unbalanced += 1
+    return (parens, inverted, unbalanced)
+
+
+@lru_cache(maxsize=None)
+def _shape_key(tree: Bracket):
+    # Leaf sequence (later components first), then shape.
+    if isinstance(tree, int):
+        return ((-tree,), (0,))
+    lseq, ls = _shape_key(tree[0])
+    rseq, rs = _shape_key(tree[1])
+    return (lseq + rseq, (1,) + ls + rs)
+
+
+def _selection_key(tree: Bracket):
+    # Among equally balanced splits: smaller side on the left, then the
+    # most string-like rendering (fewest parentheses), no (y,x)-style
+    # inverted leaf pairs, inner pairs with their bigger side first, and
+    # a fixed leaf-sequence/shape order as the final tie-break.  This
+    # normal form writes e.g. lk(yyxy,(yxy,xy)) the way the literature
+    # does.
+    left, right = tree
+    pl, il, ul = _side_stats(left)
+    pr, ir, ur = _side_stats(right)
+    return (
+        _imbalance(tree),
+        weight(left),
+        pl + pr,
+        il + ir,
+        ul + ur,
+        _shape_key(left),
+        _shape_key(right),
+    )
 
 
 def orbit_with_signs(tree):
@@ -36,6 +126,33 @@ def orbit_with_signs(tree):
                     degenerate = True
         frontier = nxt
     return rel, degenerate
+
+
+def oracle_classes(trees):
+    """Map every member of the trees' orbits to the oracle (rep, sign).
+
+    Each orbit is searched once; the expected sign of member m is
+    rel[m] * rel[rep], since lk(start) = rel[t] * lk(t) for every t.
+    """
+    expected = {}
+    for tree in trees:
+        if tree in expected:
+            continue
+        rel, degenerate = orbit_with_signs(tree)
+        rep = min(rel, key=_selection_key)
+        for member, f in rel.items():
+            expected[member] = (rep, 0 if degenerate else f * rel[rep])
+    return expected
+
+
+def all_trees(leaves, symbols):
+    if leaves == 1:
+        yield from symbols
+        return
+    for split in range(1, leaves):
+        for left in all_trees(split, symbols):
+            for right in all_trees(leaves - split, symbols):
+                yield (left, right)
 
 
 def random_tree(rng, leaves, symbols=(1, 2)):
@@ -162,6 +279,66 @@ class TestCanonicalize:
                 assert sign == factor * sign2
             else:
                 assert sign2 == 0
+
+
+class TestCanonicalizeAgainstOrbitSearch:
+    def test_every_small_tree(self):
+        trees = [
+            tree
+            for symbols, top in (((1, 2), 6), ((1, 2, 3), 5))
+            for leaves in range(2, top + 1)
+            for tree in all_trees(leaves, symbols)
+        ]
+        expected = oracle_classes(trees)
+        assert len(trees) == 3236 + 3870
+        for tree in trees:
+            assert canonicalize(tree) == expected[tree], tree
+
+    def test_every_parenthesization_through_weight_7(self):
+        trees = [
+            linking
+            for q in range(2, 8)
+            for index in product((1, 2), repeat=q)
+            for linking in parenthesizations(index[:-1], index[-1])
+        ]
+        expected = oracle_classes(trees)
+        for tree in trees:
+            assert canonicalize(tree) == expected[tree], tree
+
+    def test_weight_two_is_its_own_class(self):
+        assert canonicalize((2, 1)) == ((2, 1), 1)
+        assert canonicalize((1, 2), -1) == ((1, 2), -1)
+
+
+@st.composite
+def trees_and_moves(draw):
+    leaves = draw(st.integers(2, 12))
+    symbols = list(range(1, draw(st.integers(1, 4)) + 1))
+    letters = draw(st.lists(st.sampled_from(symbols), min_size=leaves, max_size=leaves))
+
+    def bracket(lo, hi):
+        if hi - lo == 1:
+            return letters[lo]
+        split = draw(st.integers(lo + 1, hi - 1))
+        return (bracket(lo, split), bracket(split, hi))
+
+    return bracket(0, leaves), draw(st.lists(st.integers(0, 10**6), max_size=40))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(trees_and_moves())
+def test_canonicalize_is_a_class_function(case):
+    tree, choices = case
+    rep, sign = canonicalize(tree)
+    current, factor = tree, 1
+    for choice in choices:
+        moves = list(_moves(current))
+        if not moves:  # weight 2
+            break
+        current, mult = moves[choice % len(moves)]
+        factor *= mult
+    # lk(tree) = factor * lk(current)
+    assert canonicalize(current) == (rep, sign * factor)
 
 
 class TestParenthesizations:

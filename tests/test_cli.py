@@ -124,6 +124,25 @@ class TestMasseyVerb:
         code, _, err = run(capsys, "massey-sum", "--index", "121")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "lk(xyxyxy,yxyxyxy)",
+            "lk(x,%sy)" % ("xy" * 3000),
+            "lk(%sy%s,y)" % ("(x," * 1500, ")" * 1500),
+        ],
+        ids=["weight-13", "weight-6002", "nested-1500"],
+    )
+    def test_values_key_beyond_weight_cap_exit_3(self, tmp_path, capsys, key):
+        values = tmp_path / "heavy.json"
+        values.write_text(json.dumps({key: 1}))
+        code, out, err = run(
+            capsys, "massey-sum", "--index", "122121222", "--values", str(values)
+        )
+        assert code == 3
+        assert out == ""
+        assert "WEIGHT_CAP = 12" in err
+
 
 class TestLcqVerb:
     def test_plain(self, corpus_dir, capsys):

@@ -210,6 +210,12 @@ class TestArtin:
         with pytest.raises(ParseError):
             parse_braid("A12 A13")
 
+    def test_braid_text_roundtrip_ten_or_more_strands(self):
+        braid = PureBraidWord(11, ((10, 11, 1), (3, 10, -1), (1, 2, 1)))
+        assert format_braid(braid) == "11; A10,11 A3,10^-1 A12"
+        assert parse_braid(format_braid(braid)) == braid
+        assert parse_braid("12; A11,12^-2") == PureBraidWord(12, ((11, 12, -1),) * 2)
+
 
 class TestConnectedSum:
     def test_unit_law(self):
