@@ -1,165 +1,6 @@
-"""Milnor mu-bar invariants of links, mutation calculus and minimal linkings."""
+"""Milnor mu-bar invariants of links, mutation calculus and minimal linkings.
 
-from .brackets import (
-    LinkingExpr,
-    canonicalize,
-    evaluate,
-    evaluate_detailed,
-    massey_sum,
-    parenthesizations,
-    parse_bracket,
-    parse_linking,
-    render_linking,
-)
-from .corpus import (
-    borromean_braid,
-    borromean_pd,
-    borromean_system,
-    corpus_install,
-    hopf_braid,
-    hopf_pd,
-    milnor_l6_system,
-    random_realized_system,
-    sublink,
-    unlink_pd,
-)
-from .errors import ParseError, PreconditionError
-from .links import (
-    Crossing,
-    PDCode,
-    PureBraidWord,
-    artin_longitudes,
-    braid_closure_pd,
-    connected_sum,
-    inverse_mirror,
-    linking_matrix,
-    load_pd,
-    longitudes_mod_q,
-    mirror_pd,
-    parse_braid,
-    reorder,
-    reorient,
-    wirtinger,
-)
-from .magnus import NCSeries, coefficient, lcs_depth, magnus_expand, one, series_mul
-from .milnor import (
-    LongitudeSystem,
-    MuValue,
-    all_vanish_up_to,
-    delta,
-    format_index,
-    mu,
-    mu_bar,
-    parse_index,
-)
-from .mutation import (
-    MutantReport,
-    StringLinkSum,
-    apply_mutation,
-    csum_mu,
-    find_detector,
-    mutant_mu,
-    normalize_linking,
-    theorem_main_witness,
-    transform_index,
-    weight_lt6_invariance_check,
-)
-from .surgery import (
-    LcqReport,
-    MutativePairReport,
-    lcq_is_free,
-    mutative_pair_report,
-    self_mutation_ninth_quotient,
-)
-from .words import (
-    Word,
-    commutator,
-    format_word,
-    generator,
-    identity,
-    invert,
-    left_normed,
-    multiply,
-    parse_word,
-    reduce,
-    substitute,
-)
-
-__all__ = [
-    "Crossing",
-    "LcqReport",
-    "LinkingExpr",
-    "LongitudeSystem",
-    "MutantReport",
-    "MutativePairReport",
-    "MuValue",
-    "NCSeries",
-    "PDCode",
-    "ParseError",
-    "PreconditionError",
-    "PureBraidWord",
-    "StringLinkSum",
-    "Word",
-    "all_vanish_up_to",
-    "apply_mutation",
-    "artin_longitudes",
-    "borromean_braid",
-    "borromean_pd",
-    "borromean_system",
-    "braid_closure_pd",
-    "canonicalize",
-    "coefficient",
-    "commutator",
-    "connected_sum",
-    "corpus_install",
-    "csum_mu",
-    "delta",
-    "evaluate",
-    "evaluate_detailed",
-    "find_detector",
-    "format_index",
-    "format_word",
-    "generator",
-    "hopf_braid",
-    "hopf_pd",
-    "identity",
-    "inverse_mirror",
-    "invert",
-    "lcq_is_free",
-    "lcs_depth",
-    "left_normed",
-    "linking_matrix",
-    "load_pd",
-    "longitudes_mod_q",
-    "magnus_expand",
-    "massey_sum",
-    "milnor_l6_system",
-    "mirror_pd",
-    "mu",
-    "mu_bar",
-    "multiply",
-    "mutant_mu",
-    "mutative_pair_report",
-    "normalize_linking",
-    "one",
-    "parenthesizations",
-    "parse_bracket",
-    "parse_braid",
-    "parse_index",
-    "parse_linking",
-    "parse_word",
-    "random_realized_system",
-    "reduce",
-    "render_linking",
-    "reorder",
-    "reorient",
-    "self_mutation_ninth_quotient",
-    "series_mul",
-    "sublink",
-    "substitute",
-    "theorem_main_witness",
-    "transform_index",
-    "unlink_pd",
-    "weight_lt6_invariance_check",
-    "wirtinger",
-]
+The package root re-exports nothing; import from the submodules
+(``mubar.milnor``, ``mubar.links``, ``mubar.mutation``, ``mubar.brackets``,
+``mubar.surgery``, ...).
+"""

@@ -73,13 +73,6 @@ def letter_of(component: int) -> str:
     return LETTERS[component - 1]
 
 
-def component_of_letter(ch: str) -> int:
-    pos = LETTERS.find(ch)
-    if pos < 0:
-        raise ParseError(f"unknown component letter {ch!r}")
-    return pos + 1
-
-
 def render(tree: Bracket) -> str:
     """Inverse of parse_bracket: chains flatten to letter strings."""
     if isinstance(tree, int):
@@ -99,6 +92,15 @@ def render_linking(tree: Bracket) -> str:
 
 def parse_bracket(text: str) -> Bracket:
     """Parse letter strings, parenthesized pairs and mixtures of both."""
+    # A bracket of weight n has at most n - 1 pairs, and the parser
+    # recurses once per pair, so reject the excess before recursing.
+    pairs = text.count("(")
+    letters = sum(ch in LETTERS for ch in text)
+    if pairs and pairs >= letters:
+        raise ParseError(
+            f"{pairs} parentheses for {letters} letters: a bracket of "
+            f"weight n has at most n - 1 pairs"
+        )
     items, pos = _parse_seq(text, 0)
     if pos != len(text):
         raise ParseError(f"unexpected {text[pos]!r} at position {pos}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus
@@ -36,17 +35,6 @@ from .milnor import (
 from .mutation import csum_mu, find_detector, mutant_mu
 from .surgery import lcq_is_free, mutative_pair_report
 from .words import parse_word
-
-DEFAULT_SEED = corpus.DEFAULT_SEED
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    verb: str
-    fmt: str
-    seed: int
-    args: argparse.Namespace
-
 
 class UsageError(Exception):
     """Usage problems detected after argparse (still exit code 1)."""
@@ -94,31 +82,23 @@ def load_system(path: str, depth: int) -> LongitudeSystem:
     return artin_longitudes(parse_braid(text), depth)
 
 
-def _depth_for(args, minimum: int) -> int:
-    if getattr(args, "depth", None) is not None:
-        if args.depth < minimum:
-            raise PreconditionError(
-                f"--depth {args.depth} is below the required {minimum}"
-            )
-        return args.depth
-    return minimum
-
-
-def _maybe_truncate(system: LongitudeSystem, args) -> LongitudeSystem:
-    depth = getattr(args, "depth", None)
-    if depth is not None and depth < system.depth:
-        return system.truncate(depth)
+def _load(path: str, args, minimum: int) -> LongitudeSystem:
+    """Load at ``--depth`` (never below ``minimum``) or else at ``minimum``."""
+    if args.depth is None:
+        return load_system(path, minimum)
+    if args.depth < minimum:
+        raise PreconditionError(
+            f"--depth {args.depth} is below the required {minimum}"
+        )
+    system = load_system(path, args.depth)
+    if args.depth < system.depth:
+        return system.truncate(args.depth)
     return system
-
-
-def _load_for_index(args, weight: int) -> LongitudeSystem:
-    depth = _depth_for(args, weight + 1)
-    return _maybe_truncate(load_system(args.link, depth), args)
 
 
 def cmd_mu(args) -> dict:
     index = parse_index(args.index)
-    system = _load_for_index(args, len(index))
+    system = _load(args.link, args, len(index) + 1)
     return {
         "index": format_index(index),
         "mu": mu(system, index),
@@ -127,7 +107,7 @@ def cmd_mu(args) -> dict:
 
 def cmd_delta(args) -> dict:
     index = parse_index(args.index)
-    system = _load_for_index(args, len(index))
+    system = _load(args.link, args, len(index) + 1)
     return {
         "index": format_index(index),
         "delta": delta(system, index),
@@ -136,7 +116,7 @@ def cmd_delta(args) -> dict:
 
 def cmd_mu_bar(args) -> dict:
     index = parse_index(args.index)
-    system = _load_for_index(args, len(index))
+    system = _load(args.link, args, len(index) + 1)
     value = mu_bar(system, index)
     return {
         "index": format_index(index),
@@ -147,8 +127,7 @@ def cmd_mu_bar(args) -> dict:
 
 
 def cmd_vanish_up_to(args) -> dict:
-    depth = _depth_for(args, args.weight + 1)
-    system = _maybe_truncate(load_system(args.link, depth), args)
+    system = _load(args.link, args, args.weight + 1)
     return {
         "weight": args.weight,
         "all_vanish": all_vanish_up_to(system, args.weight),
@@ -157,9 +136,8 @@ def cmd_vanish_up_to(args) -> dict:
 
 def cmd_mutate_report(args) -> dict:
     index = parse_index(args.index)
-    depth = _depth_for(args, len(index) + 1)
-    alpha = _maybe_truncate(load_system(args.alpha, depth), args)
-    beta = _maybe_truncate(load_system(args.beta, depth), args)
+    alpha = _load(args.alpha, args, len(index) + 1)
+    beta = _load(args.beta, args, len(index) + 1)
     if alpha.depth != beta.depth:
         shared = min(alpha.depth, beta.depth)
         alpha, beta = alpha.truncate(shared), beta.truncate(shared)
@@ -171,8 +149,7 @@ def cmd_mutate_report(args) -> dict:
 
 
 def cmd_find_detector(args) -> dict:
-    depth = _depth_for(args, args.weight + 1)
-    alpha = _maybe_truncate(load_system(args.alpha, depth), args)
+    alpha = _load(args.alpha, args, args.weight + 1)
     detectors = find_detector(alpha, args.weight, args.type)
     return {
         "weight": args.weight,
@@ -210,11 +187,9 @@ def cmd_lcq(args) -> dict:
     if args.mutant_of is not None:
         if args.type is None:
             raise UsageError("--mutant-of needs --type")
-        depth = _depth_for(args, args.q + 1)
-        alpha = _maybe_truncate(load_system(args.mutant_of, depth), args)
+        alpha = _load(args.mutant_of, args, args.q + 1)
         return mutative_pair_report(alpha, args.q, args.type).to_json()
-    depth = _depth_for(args, args.q)
-    system = _maybe_truncate(load_system(args.link, depth), args)
+    system = _load(args.link, args, args.q)
     return lcq_is_free(system, args.q).to_json()
 
 
@@ -263,11 +238,6 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--format", choices=("json", "text"), default="json",
         help="output format (text is derived from the JSON report)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="seed reserved for randomized suites (current verbs are "
-        "deterministic)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -330,9 +300,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    config = RunConfig(verb=args.verb, fmt=args.format, seed=args.seed, args=args)
     try:
-        report = args.func(config.args)
+        report = args.func(args)
     except UsageError as exc:
         print(f"mubar: error: {exc}", file=sys.stderr)
         return 1
@@ -345,7 +314,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mubar: {exc}", file=sys.stderr)
         return 2
-    emit(report, config.fmt)
+    emit(report, args.format)
     return 0
 
 

@@ -33,8 +33,6 @@ from .words import Word, commutator, generator, left_normed, substitute
 
 STAR_LINKING_VALUES = {"lk(yyxy,(yxy,xy))": 1}
 
-DEFAULT_SEED = 20011220
-
 
 def unlink_pd(m: int = 2) -> PDCode:
     return PDCode(

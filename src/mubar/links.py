@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError
 from .milnor import LongitudeSystem
-from .words import Word, generator, identity, substitute
+from .words import Word, check_letter_budget, generator, identity, substitute
 
 
 @dataclass(frozen=True)
@@ -166,58 +166,6 @@ def _trace(pd: PDCode) -> list[list[tuple[str, int]]]:
     return walks
 
 
-@dataclass(frozen=True)
-class CrossingRelation:
-    """m(out) = m(over)^-sign m(in) m(over)^sign."""
-
-    out_arc: int
-    in_arc: int
-    over_arc: int
-    sign: int
-
-
-@dataclass
-class WirtingerPresentation:
-    generators: tuple[int, ...]
-    relations: tuple[CrossingRelation, ...]
-    base_meridians: tuple[int, ...]
-    meridian_class: dict[int, int]
-
-
-def wirtinger(pd: PDCode) -> WirtingerPresentation:
-    """Arc generators, one conjugation relation per crossing.
-
-    The two over-strand arcs of a crossing carry the same meridian;
-    ``meridian_class`` maps each arc to its class representative.
-    """
-    _trace(pd)  # validates the code
-    parent: dict[int, int] = {a: a for comp in pd.components for a in comp}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in pd.crossings:
-        b, d = sorted(x.over_pair) if len(x.over_pair) == 2 else (x.arcs[1], x.arcs[1])
-        ra, rb = find(b), find(d)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    relations = tuple(
-        CrossingRelation(x.under_out, x.under_in, min(x.over_pair), x.sign)
-        for x in pd.crossings
-    )
-    arcs = tuple(a for comp in pd.components for a in comp)
-    return WirtingerPresentation(
-        generators=arcs,
-        relations=relations,
-        base_meridians=tuple(comp[0] for comp in pd.components),
-        meridian_class={a: find(a) for a in arcs},
-    )
-
-
 def linking_matrix(pd: PDCode) -> list[list[int]]:
     """Pairwise linking numbers off-diagonal, self-writhe on the diagonal."""
     _trace(pd)  # validates the code
@@ -292,7 +240,11 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
                 lw = lw * (u if x.sign == 1 else u.inverse())
         lw = lw * generator(i) ** (-writhes[i - 1])
         longs.append(lw)
-    return LongitudeSystem(pd.m, q, tuple(longs))
+    try:
+        return LongitudeSystem(pd.m, q, tuple(longs))
+    except ValueError as exc:
+        # e.g. asymmetric linking numbers from an inconsistent PD code
+        raise ParseError(f"malformed PD code: {exc}") from exc
 
 
 def mirror_pd(pd: PDCode) -> PDCode:
@@ -352,6 +304,7 @@ def parse_braid(text: str) -> PureBraidWord:
             i, j = int(m.group(3)), int(m.group(4))
         exp = int(m.group(5)) if m.group(5) is not None else 1
         sign = 1 if exp > 0 else -1
+        check_letter_budget(len(letters) + abs(exp))
         letters.extend([(i, j, sign)] * abs(exp))
     try:
         return PureBraidWord(strands, tuple(letters))
@@ -367,11 +320,22 @@ def format_braid(b: PureBraidWord) -> str:
     return (f"{b.strands}; " + " ".join(toks)) if toks else f"{b.strands};"
 
 
-def _sigma_images(k: int, n: int, inverse: bool) -> dict[int, Word]:
+def _sigmas(i: int, j: int, e: int) -> list[tuple[int, int]]:
+    # A_ij = s_{j-1} .. s_{i+1} s_i^2 s_{i+1}^-1 .. s_{j-1}^-1, as
+    # (k, +-1) Artin generators; A_ij^-1 reverses and inverts them.
+    seq = [(k, 1) for k in range(j - 1, i, -1)]
+    seq += [(i, 1), (i, 1)]
+    seq += [(k, -1) for k in range(i + 1, j)]
+    if e == -1:
+        seq = [(k, -eps) for k, eps in reversed(seq)]
+    return seq
+
+
+def _sigma_images(k: int, n: int, eps: int) -> dict[int, Word]:
     # Artin generator of the braid group: x_k -> x_k x_{k+1} x_k^-1,
     # x_{k+1} -> x_k; all other generators fixed.
     images = {i: generator(i) for i in range(1, n + 1)}
-    if not inverse:
+    if eps == 1:
         images[k] = generator(k) * generator(k + 1) * generator(k, -1)
         images[k + 1] = generator(k)
     else:
@@ -385,38 +349,27 @@ def _compose(outer: dict[int, Word], inner: dict[int, Word]) -> dict[int, Word]:
 
 
 def _artin_automorphism(b: PureBraidWord) -> dict[int, Word]:
+    # Each letter's short step is composed first and then substituted
+    # into the long images once.
     n = b.strands
     images = {i: generator(i) for i in range(1, n + 1)}
     for i, j, e in b.letters:
-        # A_ij = s_{j-1} .. s_{i+1} s_i^2 s_{i+1}^-1 .. s_{j-1}^-1
-        sigmas: list[tuple[int, bool]] = []
-        for k in range(j - 1, i, -1):
-            sigmas.append((k, False))
-        sigmas += [(i, False), (i, False)]
-        for k in range(i + 1, j):
-            sigmas.append((k, True))
-        if e == -1:
-            sigmas = [(k, not inv) for k, inv in reversed(sigmas)]
         step = {t: generator(t) for t in range(1, n + 1)}
-        for k, inv in sigmas:
-            step = _compose(_sigma_images(k, n, inv), step)
+        for k, eps in _sigmas(i, j, e):
+            step = _compose(_sigma_images(k, n, eps), step)
         images = _compose(step, images)
     return images
 
 
 def _conjugator(image: Word, i: int) -> Word:
     letters = image.letters
-    if len(letters) % 2 != 1:
-        raise PreconditionError(
-            f"braid is not pure: x{i} maps to {image}, not a conjugate of x{i}"
-        )
     t = len(letters) // 2
-    if letters[t] != (i, 1):
-        raise PreconditionError(
-            f"braid is not pure: x{i} maps to {image}, not a conjugate of x{i}"
-        )
     w = Word(letters[:t])
-    if w * generator(i) * w.inverse() != image:
+    if (
+        len(letters) % 2 != 1
+        or letters[t] != (i, 1)
+        or w * generator(i) * w.inverse() != image
+    ):
         raise PreconditionError(
             f"braid is not pure: x{i} maps to {image}, not a conjugate of x{i}"
         )
@@ -439,19 +392,6 @@ def artin_longitudes(b: PureBraidWord, q: int) -> LongitudeSystem:
     return LongitudeSystem(b.strands, q, tuple(longs))
 
 
-def _sigma_letters(b: PureBraidWord) -> list[tuple[int, int]]:
-    # A_ij = s_{j-1} .. s_{i+1} s_i^2 s_{i+1}^-1 .. s_{j-1}^-1
-    out: list[tuple[int, int]] = []
-    for i, j, e in b.letters:
-        seq = [(k, 1) for k in range(j - 1, i, -1)]
-        seq += [(i, 1), (i, 1)]
-        seq += [(k, -1) for k in range(i + 1, j)]
-        if e == -1:
-            seq = [(k, -eps) for k, eps in reversed(seq)]
-        out.extend(seq)
-    return out
-
-
 def braid_closure_pd(b: PureBraidWord) -> PDCode:
     """The planar diagram traced by closing a pure braid.
 
@@ -468,7 +408,8 @@ def braid_closure_pd(b: PureBraidWord) -> PDCode:
     arcs_of = {s: [s] for s in range(1, n + 1)}
     next_arc = n + 1
     crossings = []
-    for k, eps in _sigma_letters(b):
+    sigmas = [sig for i, j, e in b.letters for sig in _sigmas(i, j, e)]
+    for k, eps in sigmas:
         a_left, a_right = current[k - 1], current[k]
         s_left, s_right = strand_at[k - 1], strand_at[k]
         new_left, new_right = next_arc, next_arc + 1

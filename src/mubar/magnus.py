@@ -74,12 +74,6 @@ class NCSeries:
         degrees = [len(m) for m in self.terms if m]
         return min(degrees) if degrees else None
 
-    def to_json_terms(self) -> list[dict]:
-        return [
-            {"monomial": list(mono), "coeff": self.terms[mono]}
-            for mono in sorted(self.terms, key=monomial_key)
-        ]
-
 
 def one(degree_bound: int) -> NCSeries:
     return NCSeries(degree_bound, {(): 1})
@@ -141,10 +135,6 @@ def magnus_expand(w: Word, q: int) -> NCSeries:
     for gen, sign in w.letters:
         terms = _mul_letter(terms, gen, sign, q)
     return NCSeries(q, terms)
-
-
-def coefficient(s: NCSeries, mono: Monomial) -> int:
-    return s.coefficient(mono)
 
 
 def lcs_depth(w: Word, q: int) -> int:

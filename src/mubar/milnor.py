@@ -112,20 +112,31 @@ def validate_index(system: LongitudeSystem, index) -> Index:
     return entries
 
 
+def _check_weight(system: LongitudeSystem, weight: int):
+    if weight > system.depth - 1:
+        raise PreconditionError(
+            f"weight {weight} exceeds validity (depth {system.depth} "
+            f"allows weights up to {system.depth - 1})"
+        )
+
+
 def _mu_raw(system: LongitudeSystem, index: Index) -> int:
     # Coefficient read without the invariance bound; safe for weights up
     # to depth since degree <= depth-1 terms are determined by the coset.
     return _expansion(system, index[-1]).coefficient(index[:-1])
 
 
+def _delta_raw(system: LongitudeSystem, index: Index) -> int:
+    g = 0
+    for sub in proper_cyclic_subindices(index):
+        g = math.gcd(g, _mu_raw(system, sub))
+    return g
+
+
 def mu(system: LongitudeSystem, index) -> int:
     """mu(i_1...i_k j): Magnus coefficient of X_{i_1}..X_{i_k} in w_j."""
     entries = validate_index(system, index)
-    if len(entries) > system.depth - 1:
-        raise PreconditionError(
-            f"weight {len(entries)} exceeds validity (depth {system.depth} "
-            f"allows weights up to {system.depth - 1})"
-        )
+    _check_weight(system, len(entries))
     return _mu_raw(system, entries)
 
 
@@ -144,22 +155,14 @@ def proper_cyclic_subindices(index: Index) -> set[Index]:
 def delta(system: LongitudeSystem, index) -> int:
     """gcd of mu over proper cyclic subindices; 0 for the empty set."""
     entries = validate_index(system, index)
-    if len(entries) > system.depth - 1:
-        raise PreconditionError(
-            f"weight {len(entries)} exceeds validity (depth {system.depth} "
-            f"allows weights up to {system.depth - 1})"
-        )
-    g = 0
-    for sub in proper_cyclic_subindices(entries):
-        g = math.gcd(g, _mu_raw(system, sub))
-    return g
+    _check_weight(system, len(entries))
+    return _delta_raw(system, entries)
 
 
 def mu_bar(system: LongitudeSystem, index) -> MuValue:
     m_val = mu(system, index)
     d_val = delta(system, index)
-    residue = m_val % d_val if d_val > 0 else m_val
-    return MuValue(m_val, d_val, residue)
+    return MuValue(m_val, d_val, residue_of(m_val, d_val))
 
 
 def residue_of(value: int, modulus: int) -> int:
@@ -167,28 +170,24 @@ def residue_of(value: int, modulus: int) -> int:
     return value % modulus if modulus > 0 else value
 
 
-def _first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
-    # Shortlex-least index of weight 2..q with nonzero residue, using raw
-    # coefficient reads so that q may equal the system depth.
+def first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
+    """Shortlex-least index of weight 2..q with nonzero residue, or None.
+
+    Reads coefficients without the validity check, so q may equal the
+    system depth; None for q < 2.
+    """
     for weight in range(2, q + 1):
         for entries in product(range(1, system.m + 1), repeat=weight):
             m_val = _mu_raw(system, entries)
-            g = 0
-            for sub in proper_cyclic_subindices(entries):
-                g = math.gcd(g, _mu_raw(system, sub))
-            if residue_of(m_val, g) != 0:
+            if residue_of(m_val, _delta_raw(system, entries)) != 0:
                 return entries
     return None
 
 
 def all_vanish_up_to(system: LongitudeSystem, q: int) -> bool:
     """True iff every mu-bar residue of weight 2..q is zero."""
-    if q > system.depth - 1:
-        raise PreconditionError(
-            f"weight {q} exceeds validity (depth {system.depth} allows "
-            f"weights up to {system.depth - 1})"
-        )
-    return _first_nonvanishing(system, q) is None
+    _check_weight(system, q)
+    return first_nonvanishing(system, q) is None
 
 
 def parse_index(text: str) -> Index:

@@ -27,9 +27,8 @@ from .links import connected_sum, inverse_mirror, reorder, reorient
 from .milnor import (
     Index,
     LongitudeSystem,
-    _first_nonvanishing,
-    all_vanish_up_to,
     delta,
+    first_nonvanishing,
     format_index,
     mu,
     mu_bar,
@@ -110,34 +109,6 @@ def _require_compatible(alpha: LongitudeSystem, beta: LongitudeSystem):
         raise PreconditionError(
             f"depths differ: {alpha.depth} != {beta.depth}"
         )
-
-
-@dataclass(frozen=True)
-class StringLinkSum:
-    """A 2-component link split as a connected sum of closures alpha, beta.
-
-    The carrier for the bi-mutation calculus: mutants act on the beta
-    half while alpha's labelling stays authoritative.
-    """
-
-    alpha: LongitudeSystem
-    beta: LongitudeSystem
-
-    def __post_init__(self):
-        _require_compatible(self.alpha, self.beta)
-
-    @property
-    def depth(self) -> int:
-        return self.alpha.depth
-
-    def total(self) -> LongitudeSystem:
-        return connected_sum(self.alpha, self.beta)
-
-    def mutant(self, tau: str) -> LongitudeSystem:
-        return connected_sum(self.alpha, apply_mutation(self.beta, tau))
-
-    def normalized(self) -> "StringLinkSum":
-        return StringLinkSum(*normalize_linking(self.alpha, self.beta))
 
 
 def csum_mu(alpha: LongitudeSystem, beta: LongitudeSystem, index) -> MutantReport:
@@ -253,8 +224,8 @@ def find_detector(alpha: LongitudeSystem, q: int, tau: str) -> list[Index]:
         raise PreconditionError(
             f"weight {q} exceeds validity (depth {alpha.depth})"
         )
-    if q >= 3 and not all_vanish_up_to(alpha, q - 1):
-        witness = _first_nonvanishing(alpha, q - 1)
+    witness = first_nonvanishing(alpha, q - 1)
+    if witness is not None:
         raise PreconditionError(
             f"nonvanishing lower-weight invariant at index "
             f"{format_index(witness)}"
@@ -278,8 +249,8 @@ def theorem_main_witness(
     detectors = find_detector(alpha, q, tau)
     beta = inverse_mirror(alpha)
     mutant = connected_sum(alpha, apply_mutation(beta, tau))
-    if q >= 3 and not all_vanish_up_to(mutant, q - 1):
-        witness = _first_nonvanishing(mutant, q - 1)
+    witness = first_nonvanishing(mutant, q - 1)
+    if witness is not None:
         raise PreconditionError(
             f"mutant has nonvanishing lower-weight invariant at "
             f"{format_index(witness)}"

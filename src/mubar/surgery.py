@@ -25,7 +25,7 @@ from .magnus import lcs_depth
 from .milnor import (
     Index,
     LongitudeSystem,
-    _first_nonvanishing,
+    first_nonvanishing,
     format_index,
 )
 from .mutation import MutantReport, apply_mutation, find_detector, mutant_mu
@@ -67,7 +67,7 @@ def lcq_is_free(system: LongitudeSystem, q: int) -> LcqReport:
         raise PreconditionError(
             f"depth {system.depth} insufficient for quotient depth {q}"
         )
-    witness = _first_nonvanishing(system, q)
+    witness = first_nonvanishing(system, q)
     route_a = witness is None
 
     witness_relator = None

@@ -25,6 +25,18 @@ Letter = tuple[int, int]
 
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 
+# Most letters one word or braid text may expand to: exponents are
+# expanded letter by letter, so this bounds the memory of one input.
+LETTER_BUDGET = 100_000
+
+
+def check_letter_budget(total: int) -> None:
+    if total > LETTER_BUDGET:
+        raise PreconditionError(
+            f"input expands to {total} letters, over LETTER_BUDGET = "
+            f"{LETTER_BUDGET}"
+        )
+
 
 def _reduce(raw) -> tuple[Letter, ...]:
     out: list[Letter] = []
@@ -68,9 +80,6 @@ class Word:
     def exponent_sum(self, gen: int) -> int:
         return sum(s for g, s in self.letters if g == gen)
 
-    def generators(self) -> set[int]:
-        return {g for g, _ in self.letters}
-
     def max_generator(self) -> int:
         return max((g for g, _ in self.letters), default=0)
 
@@ -95,19 +104,6 @@ def identity() -> Word:
 
 def generator(i: int, sign: int = 1) -> Word:
     return Word(((i, sign),))
-
-
-def reduce(raw) -> Word:
-    """Freely reduce a raw letter sequence; idempotent."""
-    return Word(tuple(raw))
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return u.inverse()
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -159,6 +155,7 @@ def parse_word(text: str) -> Word:
         if exp == 0:
             continue
         sign = 1 if exp > 0 else -1
+        check_letter_budget(len(letters) + abs(exp))
         letters.extend([(gen, sign)] * abs(exp))
     return Word(tuple(letters))
 

@@ -194,6 +194,8 @@ class TestParse:
             parse_bracket("(x,y,z)")
         with pytest.raises(ParseError):
             parse_bracket("")
+        with pytest.raises(ParseError, match="at most n - 1 pairs"):
+            parse_bracket("(" * 1200 + "x,y)")
 
     def test_parse_linking(self):
         assert parse_linking("lk(yyxy,(yxy,xy))") == (

@@ -144,6 +144,17 @@ class TestMasseyVerb:
         assert "WEIGHT_CAP = 12" in err
 
 
+    def test_values_key_with_excess_parentheses_exit_2(self, tmp_path, capsys):
+        values = tmp_path / "deep.json"
+        values.write_text(json.dumps({"lk(" + "(" * 1200 + "x,y)": 1}))
+        code, out, err = run(
+            capsys, "massey-sum", "--index", "122121222", "--values", str(values)
+        )
+        assert code == 2
+        assert out == ""
+        assert "parse error" in err
+
+
 class TestLcqVerb:
     def test_plain(self, corpus_dir, capsys):
         code, out, _ = run(capsys, "lcq", "--link", str(corpus_dir / "borromean.json"), "--q", "2")
@@ -185,6 +196,42 @@ class TestErrorsAndFormats:
         code, _, err = run(capsys, "mu", "--link", str(bad), "--index", "12")
         assert code == 2
         assert "parse error" in err
+
+    def test_inconsistent_pd_exit_2(self, tmp_path, capsys):
+        # passes load_pd and the component walks, but its linking
+        # numbers come out asymmetric
+        pd = tmp_path / "asymmetric.json"
+        pd.write_text(json.dumps({
+            "m": 2,
+            "components": [[1, 2, 3], [4, 5, 6]],
+            "crossings": [
+                {"arcs": [6, 5, 4, 6], "sign": -1},
+                {"arcs": [2, 4, 3, 5], "sign": -1},
+                {"arcs": [3, 1, 1, 2], "sign": 1},
+            ],
+        }))
+        code, out, err = run(capsys, "mu", "--link", str(pd), "--index", "12")
+        assert code == 2
+        assert out == ""
+        assert "parse error" in err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("system.json", json.dumps(
+                {"m": 2, "depth": 3, "longitudes": ["x1^1000000000000", "e"]}
+            )),
+            ("huge.braid", "2; A12^1000000000000"),
+        ],
+        ids=["word", "braid"],
+    )
+    def test_exponent_over_letter_budget_exit_3(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "mu", "--link", str(path), "--index", "12")
+        assert code == 3
+        assert out == ""
+        assert "LETTER_BUDGET = 100000" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "mu", "--link", "/nonexistent.json", "--index", "12")

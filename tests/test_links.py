@@ -30,7 +30,6 @@ from mubar.links import (
     parse_braid,
     reorder,
     reorient,
-    wirtinger,
 )
 from mubar.milnor import LongitudeSystem, all_vanish_up_to, delta, mu, mu_bar
 from mubar.words import Word, commutator, generator, identity
@@ -67,34 +66,6 @@ class TestPDValidation:
             longitudes_mod_q(
                 PDCode(2, ((1,), (2, 3)), (Crossing((2, 1, 3, 1), 1),)), 3
             )
-
-
-class TestWirtinger:
-    def test_hopf_counts(self):
-        pres = wirtinger(hopf_pd())
-        assert len(pres.generators) == 4  # two arcs per component
-        assert len(pres.relations) == 2
-        assert pres.base_meridians == (1, 3)
-        # both over-strand arcs of a crossing share a meridian class
-        assert pres.meridian_class[3] == pres.meridian_class[4]
-        assert pres.meridian_class[1] == pres.meridian_class[2]
-
-    def test_unknot_component(self):
-        pres = wirtinger(unlink_pd(1))
-        assert pres.generators == (1,)
-        assert pres.relations == ()
-
-    def test_borromean_counts(self):
-        pres = wirtinger(borromean_pd())
-        assert len(pres.relations) == 6
-        # 12 edges fuse into 6 meridian classes (one per over-passage arc)
-        assert len(set(pres.meridian_class.values())) == 6
-
-    def test_relation_shape(self):
-        pres = wirtinger(hopf_pd())
-        rel = pres.relations[0]
-        assert rel.sign in (1, -1)
-        assert {rel.in_arc, rel.out_arc} <= set(pres.generators)
 
 
 class TestLinkingMatrix:

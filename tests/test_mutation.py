@@ -14,7 +14,6 @@ from mubar.links import connected_sum, inverse_mirror, longitudes_mod_q
 from mubar.milnor import LongitudeSystem, format_index, mu
 from mubar.mutation import (
     MUTATION_TYPES,
-    StringLinkSum,
     apply_mutation,
     csum_mu,
     find_detector,
@@ -253,30 +252,6 @@ class TestTheoremMainWitness:
 
     def test_trivial_alpha_vacuous(self):
         assert theorem_main_witness(trivial(7), 6, "F") == []
-
-
-class TestStringLinkSum:
-    def test_carrier_roundtrip(self):
-        pair = StringLinkSum(hopf_type(), trivial())
-        assert pair.total() == connected_sum(pair.alpha, pair.beta)
-        assert pair.depth == 5
-        for tau in MUTATION_TYPES:
-            assert pair.mutant(tau) == connected_sum(
-                pair.alpha, apply_mutation(pair.beta, tau)
-            )
-
-    def test_normalized(self):
-        pair = StringLinkSum(trivial(), hopf_type()).normalized()
-        assert pair.beta.linking(1, 2) == 0
-        assert pair.alpha.linking(1, 2) == 1
-
-    def test_validation(self):
-        with pytest.raises(PreconditionError):
-            StringLinkSum(hopf_type(5), hopf_type(4))
-        with pytest.raises(PreconditionError):
-            StringLinkSum(
-                LongitudeSystem(3, 5, (Word(), Word(), Word())), trivial()
-            )
 
 
 class TestApplyMutation:
