@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError
+from .magnus import check_term_budget
 from .milnor import LongitudeSystem
 from .words import Word, check_letter_budget, generator, identity, substitute
 
@@ -208,6 +209,7 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
     """
     if q < 2:
         raise PreconditionError("depth must be at least 2")
+    check_term_budget(pd.m, q)
     walks = _trace(pd)
 
     exprs: dict[int, Word] = {}
@@ -384,6 +386,7 @@ def artin_longitudes(b: PureBraidWord, q: int) -> LongitudeSystem:
     """
     if q < 2:
         raise PreconditionError("depth must be at least 2")
+    check_term_budget(b.strands, q)
     images = _artin_automorphism(b)
     longs = []
     for i in range(1, b.strands + 1):

@@ -5,9 +5,17 @@ discarded by every operation, and mixing bounds is an error rather than
 an implicit re-truncation (silent precision loss would corrupt mu
 values downstream).
 
-The Magnus expansion sends x_i to 1 + X_i and x_i^-1 to the truncated
-geometric series 1 - X_i + X_i^2 - ...; it embeds a free-group word
-into this ring.  The lowest nonconstant degree of an expansion detects
+Storage is dense and graded by degree.  A series of width m uses only
+X1..Xm, and its degree-d part is one flat list of m^d integers: the
+monomial X_{i_1}...X_{i_d} sits at position
+(i_1 - 1) + (i_2 - 1) m + ... + (i_d - 1) m^(d-1), its letters read as
+base-m digits, least significant first.  Right multiplication by X_g
+therefore sends degree d onto the contiguous block g - 1 of degree
+d + 1.  A series holds sum_{d<q} m^d integers, at most TERM_BUDGET.
+
+The Magnus expansion sends x_i to 1 + X_i and x_i^-1 to
+(1 + X_i)^-1 = 1 - X_i + X_i^2 - ...; it embeds a free-group word into
+this ring.  The lowest nonconstant degree of an expansion detects
 membership in the lower central series: a word lies in F_d exactly when
 its expansion has no nonconstant term of degree < d.
 
@@ -16,49 +24,98 @@ Coefficients are plain Python integers, hence arbitrary precision.
 
 from __future__ import annotations
 
+from itertools import product
+from operator import add, sub
+
 from .errors import PreconditionError
 from .words import Word
 
 Monomial = tuple[int, ...]
 
+# Most integers one series may hold, sum_{d<q} m^d for width m and bound
+# q.  The pipeline's largest use is m = 3 at q = 8 (3,280 terms).
+TERM_BUDGET = 1 << 20
 
-def monomial_key(m: Monomial) -> tuple[int, Monomial]:
-    """Canonical total order on monomials: length, then lexicographic."""
-    return (len(m), m)
+
+def check_term_budget(m: int, q: int) -> None:
+    total, size = 0, 1
+    for _ in range(q):
+        total += size
+        size *= m
+        # width <= 1 keeps one term per degree, so q itself is the size
+        if total > TERM_BUDGET or (size <= 1 and q > TERM_BUDGET):
+            raise PreconditionError(
+                f"a series of degree bound {q} in {m} variables has more "
+                f"than TERM_BUDGET = {TERM_BUDGET} terms"
+            )
+
+
+def _position(mono: Monomial, m: int) -> int:
+    pos = 0
+    for i in reversed(mono):
+        pos = pos * m + i - 1
+    return pos
 
 
 class NCSeries:
-    """Sparse series: map from monomial to nonzero integer coefficient."""
+    """Dense series: ``levels[d]`` holds the m^d coefficients of degree d."""
 
-    __slots__ = ("degree_bound", "terms")
+    __slots__ = ("degree_bound", "width", "levels")
 
-    def __init__(self, degree_bound: int, terms: dict[Monomial, int] | None = None):
+    def __init__(
+        self,
+        degree_bound: int,
+        terms: dict[Monomial, int] | None = None,
+        width: int | None = None,
+    ):
         if degree_bound < 1:
             raise ValueError("degree bound must be positive")
-        self.degree_bound = degree_bound
-        clean: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            mono = tuple(mono)
+        terms = {tuple(mono): coeff for mono, coeff in (terms or {}).items()}
+        for mono in terms:
             if len(mono) >= degree_bound:
                 raise ValueError(
                     f"monomial {mono} too long for degree bound {degree_bound}"
                 )
-            if coeff:
-                clean[mono] = coeff
-        self.terms = clean
+            if any(i < 1 for i in mono):
+                raise ValueError(f"monomial {mono} has a letter below X1")
+        high = max((max(mono) for mono in terms if mono), default=1)
+        if width is None:
+            width = high
+        elif width < high:
+            raise ValueError(f"monomial letter X{high} beyond width {width}")
+        check_term_budget(width, degree_bound)
+        self.degree_bound = degree_bound
+        self.width = width
+        self.levels = [[0] * width**d for d in range(degree_bound)]
+        for mono, coeff in terms.items():
+            self.levels[len(mono)][_position(mono, width)] = coeff
+
+    @classmethod
+    def _from_levels(cls, q: int, m: int, levels: list[list[int]]) -> "NCSeries":
+        series = cls.__new__(cls)
+        series.degree_bound, series.width, series.levels = q, m, levels
+        return series
+
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        """Nonzero coefficients by monomial, in shortlex order."""
+        out: dict[Monomial, int] = {}
+        for d, level in enumerate(self.levels):
+            for mono in product(range(1, self.width + 1), repeat=d):
+                coeff = level[_position(mono, self.width)]
+                if coeff:
+                    out[mono] = coeff
+        return out
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCSeries)
-            and self.degree_bound == other.degree_bound
-            and self.terms == other.terms
-        )
+        if not isinstance(other, NCSeries) or self.degree_bound != other.degree_bound:
+            return False
+        if self.width == other.width:
+            return self.levels == other.levels
+        return self.terms == other.terms
 
     def __repr__(self) -> str:
-        items = ", ".join(
-            f"{mono}: {coeff}"
-            for mono, coeff in sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
-        )
+        items = ", ".join(f"{mono}: {coeff}" for mono, coeff in self.terms.items())
         return f"NCSeries(q={self.degree_bound}, {{{items}}})"
 
     def coefficient(self, mono: Monomial) -> int:
@@ -68,11 +125,19 @@ class NCSeries:
                 f"monomial of length {len(mono)} exceeds truncation "
                 f"(degree bound {self.degree_bound})"
             )
-        return self.terms.get(mono, 0)
+        m = self.width
+        pos = 0
+        for i in reversed(mono):
+            if not 1 <= i <= m:
+                return 0
+            pos = pos * m + i - 1
+        return self.levels[len(mono)][pos]
 
     def min_nonconstant_degree(self) -> int | None:
-        degrees = [len(m) for m in self.terms if m]
-        return min(degrees) if degrees else None
+        for d in range(1, self.degree_bound):
+            if any(self.levels[d]):
+                return d
+        return None
 
 
 def one(degree_bound: int) -> NCSeries:
@@ -86,55 +151,54 @@ def series_mul(a: NCSeries, b: NCSeries) -> NCSeries:
             f"mismatched degree bounds {a.degree_bound} != {b.degree_bound}"
         )
     q = a.degree_bound
-    out: dict[Monomial, int] = {}
-    for ma, ca in a.terms.items():
-        room = q - len(ma)
-        for mb, cb in b.terms.items():
-            if len(mb) >= room:
-                continue
-            mono = ma + mb
-            c = out.get(mono, 0) + ca * cb
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
-    return NCSeries(q, out)
-
-
-def _mul_letter(terms: dict[Monomial, int], gen: int, sign: int, q: int) -> dict[Monomial, int]:
-    # Right-multiply by 1 + X_g, or by 1 - X_g + X_g^2 - ... for sign -1.
-    out: dict[Monomial, int] = {}
-
-    def put(mono: Monomial, c: int):
-        acc = out.get(mono, 0) + c
-        if acc:
-            out[mono] = acc
-        else:
-            out.pop(mono, None)
-
-    for mono, coeff in terms.items():
-        put(mono, coeff)
-        if sign == 1:
-            if len(mono) + 1 < q:
-                put(mono + (gen,), coeff)
-        else:
-            c = coeff
-            tail = mono
-            while len(tail) + 1 < q:
-                tail = tail + (gen,)
-                c = -c
-                put(tail, c)
-    return out
+    m = max(a.width, b.width)
+    if a.width != m:
+        a = NCSeries(q, a.terms, width=m)
+    if b.width != m:
+        b = NCSeries(q, b.terms, width=m)
+    out = [[0] * m**d for d in range(q)]
+    # A degree-d monomial times the one at position j of degree e lands
+    # in block j of degree d + e.
+    for d, low in enumerate(a.levels):
+        size = len(low)
+        for e in range(q - d):
+            target = out[d + e]
+            for j, cb in enumerate(b.levels[e]):
+                if cb:
+                    lo = j * size
+                    target[lo : lo + size] = [
+                        t + cb * c for t, c in zip(target[lo : lo + size], low)
+                    ]
+    return NCSeries._from_levels(q, m, out)
 
 
 def magnus_expand(w: Word, q: int) -> NCSeries:
     """Magnus expansion of a reduced word, truncated at degree bound q."""
     if q < 2:
         raise PreconditionError("degree bound must be at least 2")
-    terms: dict[Monomial, int] = {(): 1}
+    m = max(w.max_generator(), 1)
+    check_term_budget(m, q)
+    levels = [[0] * m**d for d in range(q)]
+    levels[0][0] = 1
+    # (degree d, degree d + 1, m^d): right multiplication by X_g sends
+    # degree d onto block g - 1 of degree d + 1.
+    rising = [(levels[d], levels[d + 1], m**d) for d in range(q - 1)]
+    falling = rising[::-1]
     for gen, sign in w.letters:
-        terms = _mul_letter(terms, gen, sign, q)
-    return NCSeries(q, terms)
+        g = gen - 1
+        if sign == 1:
+            # S(1 + X_g) adds S_d X_g to degree d + 1; top degree first,
+            # so that S_d is still the old part.
+            for low, high, size in falling:
+                lo, hi = g * size, (g + 1) * size
+                high[lo:hi] = map(add, high[lo:hi], low)
+        else:
+            # T = S(1 + X_g)^-1 solves T = S - T X_g; degree 1 first, so
+            # that T_d is already the new part.
+            for low, high, size in rising:
+                lo, hi = g * size, (g + 1) * size
+                high[lo:hi] = map(sub, high[lo:hi], low)
+    return NCSeries._from_levels(q, m, levels)
 
 
 def lcs_depth(w: Word, q: int) -> int:

@@ -126,13 +126,6 @@ def _mu_raw(system: LongitudeSystem, index: Index) -> int:
     return _expansion(system, index[-1]).coefficient(index[:-1])
 
 
-def _delta_raw(system: LongitudeSystem, index: Index) -> int:
-    g = 0
-    for sub in proper_cyclic_subindices(index):
-        g = math.gcd(g, _mu_raw(system, sub))
-    return g
-
-
 def mu(system: LongitudeSystem, index) -> int:
     """mu(i_1...i_k j): Magnus coefficient of X_{i_1}..X_{i_k} in w_j."""
     entries = validate_index(system, index)
@@ -156,7 +149,10 @@ def delta(system: LongitudeSystem, index) -> int:
     """gcd of mu over proper cyclic subindices; 0 for the empty set."""
     entries = validate_index(system, index)
     _check_weight(system, len(entries))
-    return _delta_raw(system, entries)
+    g = 0
+    for sub in proper_cyclic_subindices(entries):
+        g = math.gcd(g, _mu_raw(system, sub))
+    return g
 
 
 def mu_bar(system: LongitudeSystem, index) -> MuValue:
@@ -173,13 +169,18 @@ def residue_of(value: int, modulus: int) -> int:
 def first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
     """Shortlex-least index of weight 2..q with nonzero residue, or None.
 
+    The first non-vanishing mu-bar are integers (Milnor, "Isotopy of
+    links", 1957): while the scan has not returned, every mu of lower
+    weight is 0, so Delta is 0 and the residue is mu itself.  Hence the
+    least index with nonzero residue is the least one with nonzero mu,
+    and no Delta is computed.
+
     Reads coefficients without the validity check, so q may equal the
     system depth; None for q < 2.
     """
     for weight in range(2, q + 1):
         for entries in product(range(1, system.m + 1), repeat=weight):
-            m_val = _mu_raw(system, entries)
-            if residue_of(m_val, _delta_raw(system, entries)) != 0:
+            if _mu_raw(system, entries) != 0:
                 return entries
     return None
 

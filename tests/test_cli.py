@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mubar.cli import main
+from mubar.corpus import hopf_pd
 
 
 def run(capsys, *argv):
@@ -232,6 +233,36 @@ class TestErrorsAndFormats:
         assert code == 3
         assert out == ""
         assert "LETTER_BUDGET = 100000" in err
+
+    def test_system_depth_over_term_budget_exit_3(self, tmp_path, capsys):
+        # The depth of a longitude system is the expansion's degree bound.
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(
+            {"m": 2, "depth": 100_000_000, "longitudes": ["e", "x2 x1 x2^-1 x1^-1"]}
+        ))
+        code, out, err = run(capsys, "mu", "--link", str(path), "--index", "12")
+        assert code == 3
+        assert out == ""
+        assert "TERM_BUDGET = 1048576" in err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("hopf_pd.json", json.dumps(hopf_pd().to_json())),
+            ("hopf.braid", "2; A12"),
+        ],
+        ids=["pd", "braid"],
+    )
+    def test_depth_option_over_term_budget_exit_3(self, tmp_path, capsys, name, text):
+        # Refused before any rewriting, so depth 30 answers at once.
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "mu", "--link", str(path), "--index", "12", "--depth", "30"
+        )
+        assert code == 3
+        assert out == ""
+        assert "TERM_BUDGET = 1048576" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "mu", "--link", "/nonexistent.json", "--index", "12")

@@ -1,10 +1,118 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubar.errors import PreconditionError
-from mubar.magnus import NCSeries, lcs_depth, magnus_expand, one, series_mul
+from mubar.magnus import (
+    NCSeries,
+    check_term_budget,
+    lcs_depth,
+    magnus_expand,
+    one,
+    series_mul,
+)
 from mubar.words import Word, commutator, generator, left_normed
+
+# ---------------------------------------------------------------------------
+# Oracle: the sparse dict series that the dense store replaced, verbatim
+# apart from the names DictSeries and dict_magnus_expand.
+
+Monomial = tuple[int, ...]
+
+
+def monomial_key(m: Monomial) -> tuple[int, Monomial]:
+    """Canonical total order on monomials: length, then lexicographic."""
+    return (len(m), m)
+
+
+class DictSeries:
+    """Sparse series: map from monomial to nonzero integer coefficient."""
+
+    __slots__ = ("degree_bound", "terms")
+
+    def __init__(self, degree_bound: int, terms: dict[Monomial, int] | None = None):
+        if degree_bound < 1:
+            raise ValueError("degree bound must be positive")
+        self.degree_bound = degree_bound
+        clean: dict[Monomial, int] = {}
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) >= degree_bound:
+                raise ValueError(
+                    f"monomial {mono} too long for degree bound {degree_bound}"
+                )
+            if coeff:
+                clean[mono] = coeff
+        self.terms = clean
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, DictSeries)
+            and self.degree_bound == other.degree_bound
+            and self.terms == other.terms
+        )
+
+    def __repr__(self) -> str:
+        items = ", ".join(
+            f"{mono}: {coeff}"
+            for mono, coeff in sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]))
+        )
+        return f"NCSeries(q={self.degree_bound}, {{{items}}})"
+
+    def coefficient(self, mono: Monomial) -> int:
+        mono = tuple(mono)
+        if len(mono) >= self.degree_bound:
+            raise PreconditionError(
+                f"monomial of length {len(mono)} exceeds truncation "
+                f"(degree bound {self.degree_bound})"
+            )
+        return self.terms.get(mono, 0)
+
+    def min_nonconstant_degree(self) -> int | None:
+        degrees = [len(m) for m in self.terms if m]
+        return min(degrees) if degrees else None
+
+
+def _mul_letter(terms: dict[Monomial, int], gen: int, sign: int, q: int) -> dict[Monomial, int]:
+    # Right-multiply by 1 + X_g, or by 1 - X_g + X_g^2 - ... for sign -1.
+    out: dict[Monomial, int] = {}
+
+    def put(mono: Monomial, c: int):
+        acc = out.get(mono, 0) + c
+        if acc:
+            out[mono] = acc
+        else:
+            out.pop(mono, None)
+
+    for mono, coeff in terms.items():
+        put(mono, coeff)
+        if sign == 1:
+            if len(mono) + 1 < q:
+                put(mono + (gen,), coeff)
+        else:
+            c = coeff
+            tail = mono
+            while len(tail) + 1 < q:
+                tail = tail + (gen,)
+                c = -c
+                put(tail, c)
+    return out
+
+
+def dict_magnus_expand(w: Word, q: int) -> DictSeries:
+    """Magnus expansion of a reduced word, truncated at degree bound q."""
+    if q < 2:
+        raise PreconditionError("degree bound must be at least 2")
+    terms: dict[Monomial, int] = {(): 1}
+    for gen, sign in w.letters:
+        terms = _mul_letter(terms, gen, sign, q)
+    return DictSeries(q, terms)
+
+
+# ---------------------------------------------------------------------------
 
 
 def random_word(rng, max_len=12, gens=3):
@@ -130,6 +238,17 @@ class TestCoefficient:
         with pytest.raises(PreconditionError, match="truncation"):
             one(3).coefficient((1, 2, 1))
 
+    def test_letters_outside_width_read_zero(self):
+        # Position arithmetic alone would alias (0,) to X2 by negative
+        # indexing, and X3 over width 2 into the next block.
+        s = NCSeries(3, {(1,): 5, (2,): 7})
+        for mono in [(0,), (3,), (-1,), (1, 0), (0, 2), (2, 3)]:
+            assert s.coefficient(mono) == 0, mono
+        t = magnus_expand(commutator(generator(1), generator(3)), 4)
+        assert t.coefficient((1, 3)) == 1
+        for mono in [(0,), (4,), (1, 4), (0, 3), (4, 1, 3), (3, 0, 1)]:
+            assert t.coefficient(mono) == 0, mono
+
 
 class TestLcsDepth:
     def test_generator_depth_one(self):
@@ -158,3 +277,100 @@ class TestLcsDepth:
             for d in range(2, q):
                 c = left_normed(1, *([2] * (d - 1)))
                 assert lcs_depth(c, q) == d
+
+
+def _words_with_oracle(gens: int, max_len: int, q: int):
+    """Every reduced word over x1..x_gens of length <= max_len, with its
+    dict-oracle expansion at degree bound q, built letter by letter."""
+    letters = [(g, sign) for g in range(1, gens + 1) for sign in (1, -1)]
+    stack = [((), {(): 1})]
+    while stack:
+        word, terms = stack.pop()
+        yield Word(word), terms
+        if len(word) < max_len:
+            for gen, sign in letters:
+                if not word or word[-1] != (gen, -sign):
+                    stack.append((word + ((gen, sign),), _mul_letter(terms, gen, sign, q)))
+
+
+words = st.lists(
+    st.tuples(st.integers(1, 4), st.sampled_from((1, -1))), max_size=14
+).map(Word)
+bounds = st.integers(2, 6)
+
+
+class TestDictOracle:
+    def test_every_short_word(self):
+        # Every reduced word of length <= 6 over m <= 3 (23,437 words):
+        # dense and dict agree at q = 5, and the dense expansion at each
+        # q < 5 is the truncation of the one at q = 5.
+        count = 0
+        for w, terms in _words_with_oracle(3, 6, 5):
+            top = magnus_expand(w, 5)
+            assert all(top.coefficient(mono) == c for mono, c in terms.items()), w
+            assert sum(len(lv) - lv.count(0) for lv in top.levels) == len(terms), w
+            for q in range(2, 5):
+                assert magnus_expand(w, q).levels == top.levels[:q], (w, q)
+            count += 1
+        assert count == 23437
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(words, bounds)
+    def test_random_words(self, w, q):
+        assert magnus_expand(w, q).terms == dict_magnus_expand(w, q).terms
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(words, words, bounds)
+    def test_homomorphism(self, u, v, q):
+        assert magnus_expand(u * v, q) == series_mul(magnus_expand(u, q), magnus_expand(v, q))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(words, bounds)
+    def test_inverse(self, w, q):
+        assert series_mul(magnus_expand(w, q), magnus_expand(w.inverse(), q)) == one(q)
+
+
+class TestWidth:
+    def test_equal_terms_across_widths(self):
+        s = magnus_expand(commutator(generator(1), generator(2)), 4)
+        assert s.width == 2
+        wide = NCSeries(4, s.terms, width=4)
+        assert wide == s and s == wide
+        assert NCSeries(4, {(): 1, (1, 2): 1}, width=3) != s
+        assert magnus_expand(Word(), 4) == one(4) == NCSeries(4, {(): 1}, width=3)
+
+    def test_product_across_widths(self):
+        a = magnus_expand(generator(1), 4)
+        b = magnus_expand(generator(3, -1), 4)
+        assert series_mul(a, b) == magnus_expand(generator(1) * generator(3, -1), 4)
+        assert series_mul(a, b).width == 3
+
+    def test_terms_in_shortlex_order(self):
+        s = magnus_expand(commutator(generator(2), generator(1)), 4)
+        assert list(s.terms) == sorted(s.terms, key=lambda mono: (len(mono), mono))
+
+    def test_width_too_small(self):
+        with pytest.raises(ValueError, match="width"):
+            NCSeries(3, {(3,): 1}, width=2)
+        with pytest.raises(ValueError, match="below X1"):
+            NCSeries(3, {(0,): 1})
+
+
+class TestTermBudget:
+    def test_largest_pipeline_use_fits(self):
+        check_term_budget(3, 8)
+        check_term_budget(4, 4)
+        check_term_budget(2, 20)
+
+    @pytest.mark.parametrize(
+        "m, q", [(2, 21), (3, 30), (1, 100_000_000), (0, 100_000_000), (12, 7)]
+    )
+    def test_over_budget(self, m, q):
+        with pytest.raises(PreconditionError, match="TERM_BUDGET = 1048576"):
+            check_term_budget(m, q)
+
+    def test_expand_and_constructor_check(self):
+        with pytest.raises(PreconditionError, match="TERM_BUDGET"):
+            magnus_expand(generator(2), 25)
+        with pytest.raises(PreconditionError, match="TERM_BUDGET"):
+            NCSeries(25, {(2,): 1})

@@ -1,24 +1,59 @@
+import math
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mubar.corpus import borromean_pd, borromean_system, random_realized_system
+from mubar.corpus import (
+    borromean_pd,
+    borromean_system,
+    milnor_l6_system,
+    random_realized_system,
+)
 from mubar.errors import ParseError, PreconditionError
 from mubar.links import artin_longitudes, longitudes_mod_q
 from mubar.corpus import borromean_braid, hopf_braid, hopf_pd
 from mubar.magnus import lcs_depth
 from mubar.milnor import (
     LongitudeSystem,
+    _mu_raw,
     all_vanish_up_to,
     delta,
+    first_nonvanishing,
     format_index,
     mu,
     mu_bar,
     parse_index,
     proper_cyclic_subindices,
+    residue_of,
 )
 from mubar.words import Word, commutator, generator, left_normed, parse_word
+
+# Oracle: the residue scan that first_nonvanishing replaced, verbatim
+# apart from its name; it computes Delta for every index it visits.
+
+
+def _delta_raw(system: LongitudeSystem, index) -> int:
+    g = 0
+    for sub in proper_cyclic_subindices(index):
+        g = math.gcd(g, _mu_raw(system, sub))
+    return g
+
+
+def residue_scan(system: LongitudeSystem, q: int):
+    """Shortlex-least index of weight 2..q with nonzero residue, or None.
+
+    Reads coefficients without the validity check, so q may equal the
+    system depth; None for q < 2.
+    """
+    for weight in range(2, q + 1):
+        for entries in product(range(1, system.m + 1), repeat=weight):
+            m_val = _mu_raw(system, entries)
+            if residue_of(m_val, _delta_raw(system, entries)) != 0:
+                return entries
+    return None
 
 
 def hopf_type(depth=4):
@@ -168,6 +203,93 @@ class TestAllVanish:
                     lcs_depth(w, q + 1) >= q for w in system.longitudes
                 )
                 assert vanish == relators
+
+
+def _reduced_words(gens: int, max_len: int) -> list[Word]:
+    letters = [(g, sign) for g in range(1, gens + 1) for sign in (1, -1)]
+    level, out = [()], [Word()]
+    for _ in range(max_len):
+        level = [w + (a,) for w in level for a in letters if not w or w[-1] != (a[0], -a[1])]
+        out += [Word(w) for w in level]
+    return out
+
+
+def _assert_scans_agree(system: LongitudeSystem):
+    for q in range(2, system.depth + 1):
+        assert first_nonvanishing(system, q) == residue_scan(system, q), (system, q)
+
+
+@st.composite
+def commutator_systems(draw):
+    # Products of left-normed commutators of weight c: every mu of
+    # weight <= c vanishes, so the first witness sits at weight c + 1.
+    m = draw(st.integers(2, 3))
+    c = draw(st.integers(2, 4))
+    entries = st.lists(st.integers(1, m), min_size=c, max_size=c)
+    longs = []
+    for _ in range(m):
+        w = Word()
+        for gens in draw(st.lists(entries, max_size=2)):
+            w = w * left_normed(*gens)
+        longs.append(w)
+    return LongitudeSystem(m, 6, tuple(longs))
+
+
+seeds = st.integers(0, 2**32 - 1)
+scan_systems = st.one_of(
+    seeds.map(lambda n: random_realized_system(random.Random(n), depth=5)),
+    seeds.map(lambda n: random_realized_system(random.Random(n), depth=5, linking=0)),
+    st.integers(2, 6).map(borromean_system),
+    st.integers(6, 7).map(milnor_l6_system),
+    commutator_systems(),
+)
+
+
+class TestScanAgainstResidueOracle:
+    def test_short_two_component_systems(self):
+        # Every 2-component system at depth 5 whose longitudes are
+        # reduced words of length <= 5 (1,243 systems).
+        words = _reduced_words(2, 5)
+        count = 0
+        for w1 in (w for w in words if w.exponent_sum(1) == 0):
+            for w2 in (w for w in words if w.exponent_sum(2) == 0):
+                try:
+                    system = LongitudeSystem(2, 5, (w1, w2))
+                except ValueError:
+                    continue
+                _assert_scans_agree(system)
+                count += 1
+        assert count == 1243
+
+    def test_zero_sum_two_component_systems(self):
+        # Longitudes of length <= 6 with every exponent sum 0, so that all
+        # linking numbers vanish and the scan passes weight 2.
+        words = [
+            w for w in _reduced_words(2, 6) if w.exponent_sum(1) == w.exponent_sum(2) == 0
+        ]
+        assert len(words) == 49
+        for w1 in words:
+            for w2 in words:
+                _assert_scans_agree(LongitudeSystem(2, 5, (w1, w2)))
+
+    def test_commutator_three_component_systems(self):
+        # Longitude i is trivial or a commutator [x_a^e, x_b^f] of the
+        # other two meridians, in either order (729 systems).
+        def choices(j, k):
+            return [Word()] + [
+                commutator(generator(a, e), generator(b, f))
+                for a, b in ((j, k), (k, j))
+                for e in (1, -1)
+                for f in (1, -1)
+            ]
+
+        for longs in product(choices(2, 3), choices(3, 1), choices(1, 2)):
+            _assert_scans_agree(LongitudeSystem(3, 4, longs))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(scan_systems)
+    def test_random_systems(self, system):
+        _assert_scans_agree(system)
 
 
 class TestCyclicSymmetry:
