@@ -125,13 +125,9 @@ class NCSeries:
                 f"monomial of length {len(mono)} exceeds truncation "
                 f"(degree bound {self.degree_bound})"
             )
-        m = self.width
-        pos = 0
-        for i in reversed(mono):
-            if not 1 <= i <= m:
-                return 0
-            pos = pos * m + i - 1
-        return self.levels[len(mono)][pos]
+        if not all(1 <= i <= self.width for i in mono):
+            return 0
+        return self.levels[len(mono)][_position(mono, self.width)]
 
     def min_nonconstant_degree(self) -> int | None:
         for d in range(1, self.degree_bound):
