@@ -343,15 +343,6 @@ class LinkingExpr:
             {"linking": render_linking(t), "coeff": c} for t, c in self.terms
         ]
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for t, c in self.terms:
-            parts.append(f"{'+' if c >= 0 else '-'} {abs(c)}*{render_linking(t)}")
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else out
-
 
 def massey_sum(index) -> LinkingExpr:
     """Expand mu-bar(I) as (-1)^q times the sum of lk(w, x_{i_q}).
@@ -438,20 +429,3 @@ def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
         else:
             missing.append(render_linking(t))
     return total, missing
-
-
-__all__ = [
-    "Bracket",
-    "LETTERS",
-    "LinkingExpr",
-    "canonicalize",
-    "evaluate",
-    "evaluate_detailed",
-    "massey_sum",
-    "parenthesizations",
-    "parse_bracket",
-    "parse_linking",
-    "render",
-    "render_linking",
-    "weight",
-]

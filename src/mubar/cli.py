@@ -8,8 +8,9 @@ usage, 2 unparsable input file, 3 violated precondition.
 
 Link inputs may be longitude-system JSON ({m, depth, longitudes}),
 PD-code JSON ({m, components, crossings}) or braid text (``n; A12
-...``); diagram and braid inputs are expanded at a depth chosen from
-the requested computation unless ``--depth`` overrides it.
+...``); each is read at the depth the requested computation needs
+unless ``--depth`` overrides it, and a deeper longitude-system file is
+truncated to that depth.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .milnor import (
     mu_bar,
     parse_index,
 )
-from .mutation import csum_mu, find_detector, mutant_mu
+from .mutation import find_detector, mutant_mu
 from .surgery import lcq_is_free, mutative_pair_report
 from .words import parse_word
 
@@ -83,16 +84,19 @@ def load_system(path: str, depth: int) -> LongitudeSystem:
 
 
 def _load(path: str, args, minimum: int) -> LongitudeSystem:
-    """Load at ``--depth`` (never below ``minimum``) or else at ``minimum``."""
-    if args.depth is None:
-        return load_system(path, minimum)
-    if args.depth < minimum:
-        raise PreconditionError(
-            f"--depth {args.depth} is below the required {minimum}"
-        )
-    system = load_system(path, args.depth)
-    if args.depth < system.depth:
-        return system.truncate(args.depth)
+    """Load at ``--depth`` (never below ``minimum``) or else at ``minimum``.
+
+    A deeper longitude-system file is truncated to that depth, so its
+    words are expanded no deeper than the verb reads them.
+    """
+    depth = minimum if args.depth is None else args.depth
+    if depth < minimum:
+        raise PreconditionError(f"--depth {depth} is below the required {minimum}")
+    system = load_system(path, depth)
+    if depth < system.depth:
+        # A minimum below 2 (lcq --q 1, vanish-up-to --weight 0) is left
+        # to the verb's own check; only an explicit --depth is refused.
+        system = system.truncate(max(depth, 2) if args.depth is None else depth)
     return system
 
 
@@ -141,11 +145,7 @@ def cmd_mutate_report(args) -> dict:
     if alpha.depth != beta.depth:
         shared = min(alpha.depth, beta.depth)
         alpha, beta = alpha.truncate(shared), beta.truncate(shared)
-    if args.type is None:
-        report = csum_mu(alpha, beta, index)
-    else:
-        report = mutant_mu(alpha, beta, index, args.type)
-    return report.to_json()
+    return mutant_mu(alpha, beta, index, args.type).to_json()
 
 
 def cmd_find_detector(args) -> dict:

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError
-from .magnus import check_term_budget
+from .magnus import check_term_budget, check_work_budget
 from .milnor import LongitudeSystem
 from .words import Word, check_letter_budget, generator, identity, substitute
 
@@ -230,6 +230,7 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
                     conj = conj * (u if x.sign == 1 else u.inverse())
                 new[comp[(t + 1) % len(comp)]] = conj.inverse() * xi * conj
         exprs = new
+        check_work_budget(sum(map(len, exprs.values())), pd.m, q)
 
     longs: list[Word] = []
     writhes = _writhes(pd)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import ParseError, PreconditionError
-from .magnus import NCSeries, magnus_expand
+from .magnus import NCSeries, check_term_budget, magnus_expand
 from .words import Word, format_word
 
 Index = tuple[int, ...]
@@ -62,6 +62,7 @@ class LongitudeSystem:
                         f"asymmetric linking numbers: x{j} in longitude {i} gives "
                         f"{lk_ij} but x{i} in longitude {j} gives {lk_ji}"
                     )
+        check_term_budget(self.m, self.depth)
         object.__setattr__(self, "_expansions", {})
 
     def linking(self, i: int, j: int) -> int:
@@ -70,6 +71,8 @@ class LongitudeSystem:
 
     def truncate(self, depth: int) -> "LongitudeSystem":
         """The same words viewed at a shallower validity depth."""
+        if depth < 2:
+            raise PreconditionError("depth must be at least 2")
         if depth > self.depth:
             raise PreconditionError(
                 f"cannot deepen a system: {depth} > {self.depth}"
@@ -112,7 +115,8 @@ def validate_index(system: LongitudeSystem, index) -> Index:
     return entries
 
 
-def _check_weight(system: LongitudeSystem, weight: int):
+def check_weight(system: LongitudeSystem, weight: int):
+    """Refuse a weight beyond the system's depth - 1."""
     if weight > system.depth - 1:
         raise PreconditionError(
             f"weight {weight} exceeds validity (depth {system.depth} "
@@ -129,7 +133,7 @@ def _mu_raw(system: LongitudeSystem, index: Index) -> int:
 def mu(system: LongitudeSystem, index) -> int:
     """mu(i_1...i_k j): Magnus coefficient of X_{i_1}..X_{i_k} in w_j."""
     entries = validate_index(system, index)
-    _check_weight(system, len(entries))
+    check_weight(system, len(entries))
     return _mu_raw(system, entries)
 
 
@@ -148,7 +152,7 @@ def proper_cyclic_subindices(index: Index) -> set[Index]:
 def delta(system: LongitudeSystem, index) -> int:
     """gcd of mu over proper cyclic subindices; 0 for the empty set."""
     entries = validate_index(system, index)
-    _check_weight(system, len(entries))
+    check_weight(system, len(entries))
     g = 0
     for sub in proper_cyclic_subindices(entries):
         g = math.gcd(g, _mu_raw(system, sub))
@@ -187,7 +191,7 @@ def first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
 
 def all_vanish_up_to(system: LongitudeSystem, q: int) -> bool:
     """True iff every mu-bar residue of weight 2..q is zero."""
-    _check_weight(system, q)
+    check_weight(system, q)
     return first_nonvanishing(system, q) is None
 
 

@@ -27,6 +27,7 @@ from .links import connected_sum, inverse_mirror, reorder, reorient
 from .milnor import (
     Index,
     LongitudeSystem,
+    check_weight,
     delta,
     first_nonvanishing,
     format_index,
@@ -111,38 +112,24 @@ def _require_compatible(alpha: LongitudeSystem, beta: LongitudeSystem):
         )
 
 
-def csum_mu(alpha: LongitudeSystem, beta: LongitudeSystem, index) -> MutantReport:
-    """Connected-sum congruence: mu_L(I) = mu_a(I) + mu_b(I) mod D(I)."""
-    _require_compatible(alpha, beta)
-    entries = validate_index(alpha, index)
-    mu_a = mu(alpha, entries)
-    mu_b = mu(beta, entries)
-    modulus = math.gcd(delta(alpha, entries), delta(beta, entries))
-    composite = mu(connected_sum(alpha, beta), entries)
-    residue = residue_of(mu_a + mu_b, modulus)
-    return MutantReport(
-        index=entries,
-        mutation=None,
-        mu_alpha=mu_a,
-        mu_beta_transformed=mu_b,
-        modulus=modulus,
-        residue=residue,
-        mu_composite=composite,
-        congruent=residue_of(composite, modulus) == residue,
-    )
-
-
 def mutant_mu(
-    alpha: LongitudeSystem, beta: LongitudeSystem, index, tau: str
+    alpha: LongitudeSystem, beta: LongitudeSystem, index, tau: str | None = None
 ) -> MutantReport:
-    """Mutant congruence: mu_mutant(I) = mu_a(I) + mu_b(I^tau) mod D^tau(I)."""
+    """Mutant congruence: mu_mutant(I) = mu_a(I) + mu_b(I^tau) mod D^tau(I).
+
+    tau=None is the connected sum alpha # beta, where I^tau = I.
+    """
     _require_compatible(alpha, beta)
     entries = validate_index(alpha, index)
-    transformed = transform_index(entries, tau)
+    if tau is None:
+        transformed, mutated = entries, beta
+    else:
+        transformed = transform_index(entries, tau)
+        mutated = apply_mutation(beta, tau)
     mu_a = mu(alpha, entries)
     mu_bt = mu(beta, transformed)
     modulus = math.gcd(delta(alpha, entries), delta(beta, transformed))
-    composite = mu(connected_sum(alpha, apply_mutation(beta, tau)), entries)
+    composite = mu(connected_sum(alpha, mutated), entries)
     residue = residue_of(mu_a + mu_bt, modulus)
     return MutantReport(
         index=entries,
@@ -220,10 +207,7 @@ def find_detector(alpha: LongitudeSystem, q: int, tau: str) -> list[Index]:
     _require_two_components(alpha)
     if tau not in MUTATION_TYPES:
         raise PreconditionError(f"unknown mutation type {tau!r}")
-    if q > alpha.depth - 1:
-        raise PreconditionError(
-            f"weight {q} exceeds validity (depth {alpha.depth})"
-        )
+    check_weight(alpha, q)
     witness = first_nonvanishing(alpha, q - 1)
     if witness is not None:
         raise PreconditionError(
@@ -244,9 +228,12 @@ def theorem_main_witness(
 
     The mutant has vanishing residues below weight q (checked) and, at
     each detector index, the nonvanishing weight-q value
-    mu_alpha(I) - mu_alpha(I^tau).
+    mu_alpha(I) - mu_alpha(I^tau).  Without a detector the mutant is not
+    built and the list is empty.
     """
     detectors = find_detector(alpha, q, tau)
+    if not detectors:
+        return []
     beta = inverse_mirror(alpha)
     mutant = connected_sum(alpha, apply_mutation(beta, tau))
     witness = first_nonvanishing(mutant, q - 1)

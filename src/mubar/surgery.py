@@ -28,7 +28,7 @@ from .milnor import (
     first_nonvanishing,
     format_index,
 )
-from .mutation import MutantReport, apply_mutation, find_detector, mutant_mu
+from .mutation import MutantReport, apply_mutation, theorem_main_witness
 
 
 @dataclass(frozen=True)
@@ -119,21 +119,18 @@ def mutative_pair_report(
     lcq_is_free(mutant, q) false.  Without a detector the report simply
     states the negative.
     """
-    detectors = find_detector(alpha, q, tau)
-    if not detectors:
+    witnesses = theorem_main_witness(alpha, q, tau)
+    if not witnesses:
         return MutativePairReport(q=q, mutation=tau, found=False)
     beta = inverse_mirror(alpha)
-    ribbon = connected_sum(alpha, beta)
-    mutant_sys = connected_sum(alpha, apply_mutation(beta, tau))
-    reports = tuple(mutant_mu(alpha, beta, d, tau) for d in detectors)
     return MutativePairReport(
         q=q,
         mutation=tau,
         found=True,
-        detectors=tuple(detectors),
-        ribbon_sum=lcq_is_free(ribbon, q),
-        mutant=lcq_is_free(mutant_sys, q),
-        witnesses=reports,
+        detectors=tuple(r.index for r in witnesses),
+        ribbon_sum=lcq_is_free(connected_sum(alpha, beta), q),
+        mutant=lcq_is_free(connected_sum(alpha, apply_mutation(beta, tau)), q),
+        witnesses=tuple(witnesses),
     )
 
 

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from mubar.cli import main
 from mubar.corpus import hopf_pd
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -281,3 +284,114 @@ class TestErrorsAndFormats:
         assert code == 0
         assert "mu: 1" in out
         assert "{" not in out
+
+
+class TestDepthHandling:
+    @pytest.mark.parametrize("name", ["l6.json", "hopf.json", "borromean.braid"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("lcq", "--q", "1"), ("vanish-up-to", "--weight", "0")],
+        ids=["lcq", "vanish"],
+    )
+    def test_explicit_depth_below_two_exit_3(self, corpus_dir, capsys, name, argv):
+        verb, *rest = argv
+        code, out, err = run(
+            capsys, verb, "--link", str(corpus_dir / name), *rest, "--depth", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "depth must be at least 2" in err
+
+    def test_degenerate_weights_without_depth(self, corpus_dir, capsys):
+        # the verbs' own checks answer, as they do at any file depth
+        l6 = str(corpus_dir / "l6.json")
+        code, out, err = run(capsys, "lcq", "--link", l6, "--q", "1")
+        assert code == 3
+        assert out == ""
+        assert "q must be at least 2" in err
+        code, out, _ = run(capsys, "vanish-up-to", "--link", l6, "--weight", "0")
+        assert code == 0
+        assert json.loads(out) == {"all_vanish": True, "weight": 0}
+
+    def test_depth_option_truncates_system_file(self, corpus_dir, capsys):
+        code, out, _ = run(
+            capsys, "mu-bar", "--link", str(corpus_dir / "l6.json"),
+            "--index", "1122", "--depth", "5",
+        )
+        assert code == 0
+        assert json.loads(out) == {"delta": 0, "index": "1122", "mu": 0, "residue": 0}
+
+    def test_mutate_report_shares_the_shallower_depth(self, corpus_dir, tmp_path, capsys):
+        alpha = tmp_path / "depth4.json"
+        alpha.write_text(json.dumps(
+            {"m": 2, "depth": 4, "longitudes": ["x2 x1 x2 x1^-1", "x1 x1"]}
+        ))
+        code, out, _ = run(
+            capsys, "mutate-report", "--alpha", str(alpha),
+            "--beta", str(corpus_dir / "hopf.json"), "--index", "12", "--depth", "6",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "congruent": True,
+            "index": "12",
+            "modulus": 0,
+            "mu_alpha": 2,
+            "mu_beta_transformed": 1,
+            "mu_composite": 3,
+            "mutation": None,
+            "residue": 3,
+        }
+
+    def test_deep_system_file_expanded_at_verb_depth(self, tmp_path, capsys, monkeypatch):
+        import mubar.milnor
+
+        bounds = []
+        expand = mubar.milnor.magnus_expand
+
+        def recording(w, q):
+            bounds.append(q)
+            return expand(w, q)
+
+        monkeypatch.setattr(mubar.milnor, "magnus_expand", recording)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(
+            {"m": 2, "depth": 20, "longitudes": ["e", "x2 x1 x2^-1 x1^-1"]}
+        ))
+        code, out, _ = run(capsys, "mu", "--link", str(path), "--index", "12")
+        assert code == 0
+        assert json.loads(out) == {"index": "12", "mu": 0}
+        assert bounds == [3]
+
+    def test_text_report_with_nested_lists(self, corpus_dir, capsys):
+        code, out, _ = run(
+            capsys, "--format", "text", "lcq", "--mutant-of", str(corpus_dir / "l6.json"),
+            "--type", "FR", "--q", "6",
+        )
+        assert code == 0
+        assert out == (DATA / "lcq_mutant_l6_FR_q6.txt").read_text()
+
+
+class TestWorkBudget:
+    def test_long_longitude_at_depth_13_exit_3(self, tmp_path, capsys):
+        # 80,000 letters against the 797,161 terms of m = 3 at depth 13
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "m": 3,
+            "depth": 13,
+            "longitudes": ["x2^20000 x3^20000 x2^-20000 x3^-20000", "e", "e"],
+        }))
+        code, out, err = run(
+            capsys, "mu", "--link", str(path), "--index", "232323232321"
+        )
+        assert code == 3
+        assert out == ""
+        assert "WORK_BUDGET = 10000000000" in err
+
+    def test_borromean_pd_at_depth_13_exit_3(self, corpus_dir, capsys):
+        code, out, err = run(
+            capsys, "mu-bar", "--link", str(corpus_dir / "borromean.json"),
+            "--index", "123", "--depth", "13",
+        )
+        assert code == 3
+        assert out == ""
+        assert "WORK_BUDGET = 10000000000" in err

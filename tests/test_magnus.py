@@ -8,12 +8,13 @@ from mubar.errors import PreconditionError
 from mubar.magnus import (
     NCSeries,
     check_term_budget,
+    check_work_budget,
     lcs_depth,
     magnus_expand,
     one,
     series_mul,
 )
-from mubar.words import Word, commutator, generator, left_normed
+from mubar.words import Word, commutator, generator, left_normed, parse_word
 
 # ---------------------------------------------------------------------------
 # Oracle: the sparse dict series that the dense store replaced, verbatim
@@ -373,3 +374,19 @@ class TestTermBudget:
             magnus_expand(generator(2), 25)
         with pytest.raises(PreconditionError, match="TERM_BUDGET"):
             NCSeries(25, {(2,): 1})
+
+
+class TestWorkBudget:
+    def test_borromean_depth_9_fits(self):
+        # the arc letters of the last rewriting round at depth 9
+        check_work_budget(185_262, 3, 9)
+
+    def test_borromean_depth_10_over_budget(self):
+        with pytest.raises(PreconditionError, match="WORK_BUDGET = 10000000000"):
+            check_work_budget(599_358, 3, 10)
+
+    def test_expand_check(self):
+        w = parse_word("x2^20000 x3^20000 x2^-20000 x3^-20000")
+        assert len(w) == 80_000
+        with pytest.raises(PreconditionError, match="WORK_BUDGET"):
+            magnus_expand(w, 13)

@@ -1,7 +1,10 @@
+import math
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubar.corpus import (
     borromean_pd,
@@ -11,11 +14,19 @@ from mubar.corpus import (
 )
 from mubar.errors import PreconditionError
 from mubar.links import connected_sum, inverse_mirror, longitudes_mod_q
-from mubar.milnor import LongitudeSystem, format_index, mu
+from mubar.milnor import (
+    LongitudeSystem,
+    delta,
+    format_index,
+    mu,
+    residue_of,
+    validate_index,
+)
 from mubar.mutation import (
     MUTATION_TYPES,
+    MutantReport,
+    _require_compatible,
     apply_mutation,
-    csum_mu,
     find_detector,
     mutant_mu,
     normalize_linking,
@@ -24,6 +35,32 @@ from mubar.mutation import (
     weight_lt6_invariance_check,
 )
 from mubar.words import Word, left_normed, parse_word
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the connected-sum congruence that mutant_mu(..., tau=None)
+# replaced, verbatim.
+
+
+def csum_mu(alpha: LongitudeSystem, beta: LongitudeSystem, index) -> MutantReport:
+    """Connected-sum congruence: mu_L(I) = mu_a(I) + mu_b(I) mod D(I)."""
+    _require_compatible(alpha, beta)
+    entries = validate_index(alpha, index)
+    mu_a = mu(alpha, entries)
+    mu_b = mu(beta, entries)
+    modulus = math.gcd(delta(alpha, entries), delta(beta, entries))
+    composite = mu(connected_sum(alpha, beta), entries)
+    residue = residue_of(mu_a + mu_b, modulus)
+    return MutantReport(
+        index=entries,
+        mutation=None,
+        mu_alpha=mu_a,
+        mu_beta_transformed=mu_b,
+        modulus=modulus,
+        residue=residue,
+        mu_composite=composite,
+        congruent=residue_of(composite, modulus) == residue,
+    )
 
 
 def hopf_type(depth=5):
@@ -60,12 +97,12 @@ class TestTransformIndex:
 
 class TestCsumMu:
     def test_hopf_plus_trivial(self):
-        report = csum_mu(hopf_type(), trivial(), (1, 2))
+        report = mutant_mu(hopf_type(), trivial(), (1, 2))
         assert (report.residue, report.modulus) == (1, 0)
         assert report.congruent
 
     def test_hopf_plus_hopf(self):
-        report = csum_mu(hopf_type(), hopf_type(), (1, 2))
+        report = mutant_mu(hopf_type(), hopf_type(), (1, 2))
         assert report.residue == 2
         assert report.congruent
 
@@ -74,15 +111,40 @@ class TestCsumMu:
         for _ in range(20):
             alpha = random_realized_system(rng, depth=5)
             beta = random_realized_system(rng, depth=5)
-            report = csum_mu(alpha, beta, (1, 1, 2, 2))
+            report = mutant_mu(alpha, beta, (1, 1, 2, 2))
             assert report.congruent
 
     def test_arity_mismatch(self):
         three = LongitudeSystem(3, 5, (Word(), Word(), Word()))
         with pytest.raises(PreconditionError):
-            csum_mu(three, three, (1, 2))
+            mutant_mu(three, three, (1, 2))
         with pytest.raises(PreconditionError):
-            csum_mu(hopf_type(5), hopf_type(4), (1, 2))
+            mutant_mu(hopf_type(5), hopf_type(4), (1, 2))
+
+
+class TestConnectedSumAgainstOracle:
+    def test_every_index_up_to_weight_4(self):
+        rng = random.Random(97)
+        for _ in range(12):
+            alpha = random_realized_system(rng, depth=5)
+            beta = random_realized_system(rng, depth=5)
+            for weight in range(2, 5):
+                for entries in product((1, 2), repeat=weight):
+                    assert (
+                        mutant_mu(alpha, beta, entries).to_json()
+                        == csum_mu(alpha, beta, entries).to_json()
+                    )
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from((1, 2)), min_size=2, max_size=5),
+    )
+    def test_random_pairs(self, seed, entries):
+        rng = random.Random(seed)
+        alpha = random_realized_system(rng, depth=6)
+        beta = random_realized_system(rng, depth=6)
+        assert mutant_mu(alpha, beta, entries) == csum_mu(alpha, beta, entries)
 
 
 class TestMutantMu:
@@ -127,7 +189,7 @@ class TestMutantMu:
             alpha = random_realized_system(rng, depth=5)
             beta = random_realized_system(rng, depth=5)
             alpha2, beta2 = normalize_linking(alpha, beta)
-            base = csum_mu(alpha2, beta2, (1, 1, 2, 2))
+            base = mutant_mu(alpha2, beta2, (1, 1, 2, 2))
             for tau in MUTATION_TYPES:
                 report = mutant_mu(alpha2, beta2, (1, 1, 2, 2), tau)
                 assert report.modulus == base.modulus

@@ -7,14 +7,39 @@ from mubar.corpus import (
     unlink_pd,
 )
 from mubar.errors import PreconditionError
-from mubar.links import longitudes_mod_q
+from mubar.links import connected_sum, inverse_mirror, longitudes_mod_q
 from mubar.milnor import LongitudeSystem
+from mubar.mutation import MUTATION_TYPES, apply_mutation, find_detector, mutant_mu
 from mubar.surgery import (
+    MutativePairReport,
     lcq_is_free,
     mutative_pair_report,
     self_mutation_ninth_quotient,
 )
-from mubar.words import Word
+from mubar.words import Word, left_normed
+
+
+def mutative_pair_report_oracle(
+    alpha: LongitudeSystem, q: int, tau: str
+) -> MutativePairReport:
+    """The pair report before it took its witnesses from
+    theorem_main_witness; its body is verbatim."""
+    detectors = find_detector(alpha, q, tau)
+    if not detectors:
+        return MutativePairReport(q=q, mutation=tau, found=False)
+    beta = inverse_mirror(alpha)
+    ribbon = connected_sum(alpha, beta)
+    mutant_sys = connected_sum(alpha, apply_mutation(beta, tau))
+    reports = tuple(mutant_mu(alpha, beta, d, tau) for d in detectors)
+    return MutativePairReport(
+        q=q,
+        mutation=tau,
+        found=True,
+        detectors=tuple(detectors),
+        ribbon_sum=lcq_is_free(ribbon, q),
+        mutant=lcq_is_free(mutant_sys, q),
+        witnesses=reports,
+    )
 
 
 class TestLcqIsFree:
@@ -83,6 +108,26 @@ class TestMutativePair:
         assert data["ribbon_sum"]["free"] is True
         assert data["mutant"]["free"] is False
         assert "112222" in data["detectors"]
+
+
+class TestMutativePairAgainstOracle:
+    @pytest.mark.parametrize("tau", MUTATION_TYPES)
+    @pytest.mark.parametrize(
+        "alpha, q",
+        [
+            (milnor_l6_system(), 6),
+            (milnor_l6_system(), 5),
+            (LongitudeSystem(2, 7, (Word(), Word())), 6),
+            (LongitudeSystem(
+                2, 7, (left_normed(2, 1, 1, 2, 1), left_normed(1, 2, 2, 1, 2))
+            ), 6),
+        ],
+        ids=["l6", "l6-q5", "trivial", "commutator"],
+    )
+    def test_matches_oracle(self, alpha, q, tau):
+        assert mutative_pair_report(alpha, q, tau) == mutative_pair_report_oracle(
+            alpha, q, tau
+        )
 
 
 class TestNinthQuotientHeadline:
