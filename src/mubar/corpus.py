@@ -27,9 +27,10 @@ from .links import (
     PureBraidWord,
     artin_longitudes,
     format_braid,
+    reorder,
 )
 from .milnor import LongitudeSystem
-from .words import Word, commutator, generator, left_normed, substitute
+from .words import commutator, generator, left_normed
 
 STAR_LINKING_VALUES = {"lk(yyxy,(yxy,xy))": 1}
 
@@ -113,27 +114,6 @@ def milnor_l6_system(depth: int = 7) -> LongitudeSystem:
     return LongitudeSystem(2, depth, (w1, w2))
 
 
-def sublink(system: LongitudeSystem, keep) -> LongitudeSystem:
-    """Delete all components except ``keep`` (1-based, ascending order).
-
-    Meridians of deleted components are killed and survivors renumbered;
-    for realized systems this is the longitude system of the sublink.
-    """
-    kept = tuple(int(k) for k in keep)
-    if sorted(set(kept)) != sorted(kept) or not kept:
-        raise ValueError(f"bad component selection {kept}")
-    for k in kept:
-        if not 1 <= k <= system.m:
-            raise ValueError(f"component {k} out of range 1..{system.m}")
-    images = {i: Word() for i in range(1, system.m + 1)}
-    for new_pos, old in enumerate(sorted(kept), start=1):
-        images[old] = generator(new_pos)
-    longs = tuple(
-        substitute(system.longitudes[old - 1], images) for old in sorted(kept)
-    )
-    return LongitudeSystem(len(kept), system.depth, longs)
-
-
 def random_pure_braid(rng: Random, strands: int, length: int) -> PureBraidWord:
     pairs = [(i, j) for i in range(1, strands + 1) for j in range(i + 1, strands + 1)]
     letters = tuple(
@@ -167,7 +147,7 @@ def random_realized_system(
             sign = 1 if diff > 0 else -1
             letters.extend([(i, j, sign)] * abs(diff))
     full = artin_longitudes(PureBraidWord(strands, tuple(letters)), depth)
-    return sublink(full, (i, j))
+    return reorder(full, (i, j))
 
 
 # ---------------------------------------------------------------------------

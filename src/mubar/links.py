@@ -7,7 +7,8 @@ Two input pipelines produce a :class:`LongitudeSystem`:
 * pure braid words via the Artin action on the free group.
 
 plus structural operations: componentwise connected sum, the
-inverse-mirror, and component reordering / reorientation.
+inverse-mirror, and one relabelling map that reorders, selects and
+reorients components.
 
 PD format.  A crossing is recorded as four arc labels counterclockwise
 starting at the incoming under-strand, together with an explicit sign:
@@ -353,7 +354,9 @@ def _compose(outer: dict[int, Word], inner: dict[int, Word]) -> dict[int, Word]:
 
 def _artin_automorphism(b: PureBraidWord) -> dict[int, Word]:
     # Each letter's short step is composed first and then substituted
-    # into the long images once.
+    # into the long images once.  The exact images can grow
+    # exponentially in braid length, so their total length is held to
+    # LETTER_BUDGET after every letter.
     n = b.strands
     images = {i: generator(i) for i in range(1, n + 1)}
     for i, j, e in b.letters:
@@ -361,6 +364,7 @@ def _artin_automorphism(b: PureBraidWord) -> dict[int, Word]:
         for k, eps in _sigmas(i, j, e):
             step = _compose(_sigma_images(k, n, eps), step)
         images = _compose(step, images)
+        check_letter_budget(sum(map(len, images.values())))
     return images
 
 
@@ -474,33 +478,28 @@ def inverse_mirror(a: LongitudeSystem) -> LongitudeSystem:
     )
 
 
-def reorder(a: LongitudeSystem, perm) -> LongitudeSystem:
-    """Relabel components: new component k is old component perm[k-1]."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(1, a.m + 1)):
-        raise PreconditionError(f"{perm} is not a permutation of 1..{a.m}")
-    images = {perm[t]: generator(t + 1) for t in range(a.m)}
-    longs = tuple(substitute(a.longitudes[p - 1], images) for p in perm)
-    return LongitudeSystem(a.m, a.depth, longs)
+def reorder(a: LongitudeSystem, comps, flip=()) -> LongitudeSystem:
+    """Relabel, select and reorient components in one substitution.
 
-
-def reorient(a: LongitudeSystem, comps) -> LongitudeSystem:
-    """Reverse the orientation of the given components.
-
-    Meridians of reversed components invert in every word; the
-    longitude of a reversed component is additionally read backwards
-    (word reversal with inverted letters).  0-framing is preserved.
+    New component k is old component comps[k-1]; meridians of old
+    components not listed are killed, which for realized systems gives
+    the longitude system of the sublink.  Components in ``flip`` (old
+    numbering) reverse orientation: their meridians invert in every
+    word and their longitude is also read backwards (word reversal with
+    inverted letters).  0-framing is preserved.
     """
-    flip = set(int(c) for c in comps)
-    for c in flip:
+    comps = tuple(int(c) for c in comps)
+    flip = {int(c) for c in flip}
+    if not comps or len(set(comps)) < len(comps):
+        raise PreconditionError(f"{comps} is not a selection of distinct components")
+    for c in set(comps) | flip:
         if not 1 <= c <= a.m:
             raise PreconditionError(f"component {c} out of range 1..{a.m}")
-    images = {
-        i: generator(i, -1 if i in flip else 1) for i in range(1, a.m + 1)
-    }
+    images = {i: identity() for i in range(1, a.m + 1)}
+    for new, old in enumerate(comps, start=1):
+        images[old] = generator(new, -1 if old in flip else 1)
     longs = []
-    for i, w in enumerate(a.longitudes, start=1):
-        if i in flip:
-            w = w.inverse()
-        longs.append(substitute(w, images))
-    return LongitudeSystem(a.m, a.depth, tuple(longs))
+    for old in comps:
+        w = a.longitudes[old - 1]
+        longs.append(substitute(w.inverse() if old in flip else w, images))
+    return LongitudeSystem(len(comps), a.depth, tuple(longs))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import PreconditionError
-from .links import connected_sum, inverse_mirror, reorder, reorient
+from .links import connected_sum, inverse_mirror, reorder
 from .milnor import (
     Index,
     LongitudeSystem,
@@ -58,16 +58,13 @@ def transform_index(index, tau: str) -> Index:
 
 
 def apply_mutation(system: LongitudeSystem, tau: str) -> LongitudeSystem:
-    """The beta half of a mutant: F reorders, R reorients, FR does both."""
+    """The beta half of a mutant: F exchanges, R reverses, FR does both."""
     if tau not in MUTATION_TYPES:
         raise PreconditionError(f"unknown mutation type {tau!r}")
     _require_two_components(system)
-    out = system
-    if "F" in tau:
-        out = reorder(out, (2, 1))
-    if "R" in tau:
-        out = reorient(out, (1, 2))
-    return out
+    return reorder(
+        system, (2, 1) if "F" in tau else (1, 2), (1, 2) if "R" in tau else ()
+    )
 
 
 @dataclass(frozen=True)
@@ -112,24 +109,28 @@ def _require_compatible(alpha: LongitudeSystem, beta: LongitudeSystem):
         )
 
 
-def mutant_mu(
-    alpha: LongitudeSystem, beta: LongitudeSystem, index, tau: str | None = None
-) -> MutantReport:
-    """Mutant congruence: mu_mutant(I) = mu_a(I) + mu_b(I^tau) mod D^tau(I).
-
-    tau=None is the connected sum alpha # beta, where I^tau = I.
-    """
+def mutant(
+    alpha: LongitudeSystem, beta: LongitudeSystem, tau: str | None = None
+) -> LongitudeSystem:
+    """The composite alpha # beta^tau; tau=None is the connected sum."""
     _require_compatible(alpha, beta)
-    entries = validate_index(alpha, index)
-    if tau is None:
-        transformed, mutated = entries, beta
-    else:
-        transformed = transform_index(entries, tau)
-        mutated = apply_mutation(beta, tau)
+    return connected_sum(alpha, beta if tau is None else apply_mutation(beta, tau))
+
+
+def _report(
+    alpha: LongitudeSystem,
+    beta: LongitudeSystem,
+    composite: LongitudeSystem,
+    entries: Index,
+    tau: str | None,
+) -> MutantReport:
+    # composite is mutant(alpha, beta, tau); its expansions, like those
+    # of alpha and beta, are cached across the reports of one caller.
+    transformed = entries if tau is None else transform_index(entries, tau)
     mu_a = mu(alpha, entries)
     mu_bt = mu(beta, transformed)
     modulus = math.gcd(delta(alpha, entries), delta(beta, transformed))
-    composite = mu(connected_sum(alpha, mutated), entries)
+    value = mu(composite, entries)
     residue = residue_of(mu_a + mu_bt, modulus)
     return MutantReport(
         index=entries,
@@ -138,9 +139,20 @@ def mutant_mu(
         mu_beta_transformed=mu_bt,
         modulus=modulus,
         residue=residue,
-        mu_composite=composite,
-        congruent=residue_of(composite, modulus) == residue,
+        mu_composite=value,
+        congruent=residue_of(value, modulus) == residue,
     )
+
+
+def mutant_mu(
+    alpha: LongitudeSystem, beta: LongitudeSystem, index, tau: str | None = None
+) -> MutantReport:
+    """Mutant congruence: mu_mutant(I) = mu_a(I) + mu_b(I^tau) mod D^tau(I).
+
+    tau=None is the connected sum alpha # beta, where I^tau = I.
+    """
+    composite = mutant(alpha, beta, tau)
+    return _report(alpha, beta, composite, validate_index(alpha, index), tau)
 
 
 def normalize_linking(
@@ -181,18 +193,19 @@ def weight_lt6_invariance_check(
     if alpha.depth < 5:
         raise PreconditionError("weight-4 comparison needs depth >= 5")
     alpha2, beta2 = normalize_linking(alpha, beta)
-    total = connected_sum(alpha2, beta2)
+    total = mutant(alpha2, beta2)
     lk_val = mu_bar(total, (1, 2))
     sato = mu_bar(total, (1, 1, 2, 2))
     for tau in MUTATION_TYPES:
-        rep2 = mutant_mu(alpha2, beta2, (1, 2), tau)
+        composite = mutant(alpha2, beta2, tau)
+        rep2 = _report(alpha2, beta2, composite, (1, 2), tau)
         allowed = {
             residue_of(lk_val.mu, rep2.modulus),
             residue_of(-lk_val.mu, rep2.modulus),
         }
         if rep2.residue not in allowed:
             return False
-        rep4 = mutant_mu(alpha2, beta2, (1, 1, 2, 2), tau)
+        rep4 = _report(alpha2, beta2, composite, (1, 1, 2, 2), tau)
         if rep4.residue != sato.residue:
             return False
     return True
@@ -221,25 +234,34 @@ def find_detector(alpha: LongitudeSystem, q: int, tau: str) -> list[Index]:
     return out
 
 
-def theorem_main_witness(
+def witnessed_mutant(
     alpha: LongitudeSystem, q: int, tau: str
-) -> list[MutantReport]:
-    """Reports for the mutant of the ribbon sum alpha # inverse_mirror(alpha).
+) -> tuple[LongitudeSystem | None, list[MutantReport]]:
+    """The tau-mutant of alpha # inverse_mirror(alpha) and its reports.
 
     The mutant has vanishing residues below weight q (checked) and, at
     each detector index, the nonvanishing weight-q value
     mu_alpha(I) - mu_alpha(I^tau).  Without a detector the mutant is not
-    built and the list is empty.
+    built: the result is (None, []).
     """
     detectors = find_detector(alpha, q, tau)
     if not detectors:
-        return []
+        return None, []
     beta = inverse_mirror(alpha)
-    mutant = connected_sum(alpha, apply_mutation(beta, tau))
-    witness = first_nonvanishing(mutant, q - 1)
+    composite = mutant(alpha, beta, tau)
+    witness = first_nonvanishing(composite, q - 1)
     if witness is not None:
         raise PreconditionError(
             f"mutant has nonvanishing lower-weight invariant at "
             f"{format_index(witness)}"
         )
-    return [mutant_mu(alpha, beta, entries, tau) for entries in detectors]
+    return composite, [
+        _report(alpha, beta, composite, entries, tau) for entries in detectors
+    ]
+
+
+def theorem_main_witness(
+    alpha: LongitudeSystem, q: int, tau: str
+) -> list[MutantReport]:
+    """The reports of :func:`witnessed_mutant`; empty without a detector."""
+    return witnessed_mutant(alpha, q, tau)[1]

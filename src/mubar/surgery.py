@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .brackets import evaluate_detailed, massey_sum
 from .corpus import STAR_LINKING_VALUES
 from .errors import PreconditionError
-from .links import connected_sum, inverse_mirror
+from .links import inverse_mirror
 from .magnus import lcs_depth
 from .milnor import (
     Index,
@@ -28,7 +28,7 @@ from .milnor import (
     first_nonvanishing,
     format_index,
 )
-from .mutation import MutantReport, apply_mutation, theorem_main_witness
+from .mutation import MutantReport, mutant, witnessed_mutant
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def lcq_is_free(system: LongitudeSystem, q: int) -> LcqReport:
 
     witness_relator = None
     for i, w in enumerate(system.longitudes, start=1):
-        if lcs_depth(w, q + 1) < q:
+        if lcs_depth(w, q) < q:
             witness_relator = i
             break
     route_b = witness_relator is None
@@ -119,17 +119,16 @@ def mutative_pair_report(
     lcq_is_free(mutant, q) false.  Without a detector the report simply
     states the negative.
     """
-    witnesses = theorem_main_witness(alpha, q, tau)
+    composite, witnesses = witnessed_mutant(alpha, q, tau)
     if not witnesses:
         return MutativePairReport(q=q, mutation=tau, found=False)
-    beta = inverse_mirror(alpha)
     return MutativePairReport(
         q=q,
         mutation=tau,
         found=True,
         detectors=tuple(r.index for r in witnesses),
-        ribbon_sum=lcq_is_free(connected_sum(alpha, beta), q),
-        mutant=lcq_is_free(connected_sum(alpha, apply_mutation(beta, tau)), q),
+        ribbon_sum=lcq_is_free(mutant(alpha, inverse_mirror(alpha)), q),
+        mutant=lcq_is_free(composite, q),
         witnesses=tuple(witnesses),
     )
 

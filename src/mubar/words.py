@@ -73,10 +73,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def reverse(self) -> "Word":
-        """The word read from the end to the beginning (letters kept)."""
-        return Word(tuple(reversed(self.letters)))
-
     def exponent_sum(self, gen: int) -> int:
         return sum(s for g, s in self.letters if g == gen)
 
@@ -86,10 +82,8 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        # free reduction of the concatenation is the n-fold product
+        return Word(self.letters * n)
 
     def __str__(self) -> str:
         return format_word(self)

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,10 @@ from mubar.cli import main
 from mubar.corpus import hopf_pd
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
+# stdout of each README example in both formats, recorded before the
+# relabelling and mutant refactors; any change here is a contract change
+README_EXAMPLES = json.loads((DATA / "readme_examples.json").read_text())
 
 
 def run(capsys, *argv):
@@ -395,3 +400,65 @@ class TestWorkBudget:
         assert code == 3
         assert out == ""
         assert "WORK_BUDGET = 10000000000" in err
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every ``mubar`` line in the README's CLI block, bar the install."""
+    block = README.read_text().split("```sh\nmubar corpus-install", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = []
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words and words[0] == "mubar":
+            commands.append(words[1:])
+    return commands
+
+
+class TestReadmeExamples:
+    def test_recorded_examples_are_the_readme_ones(self):
+        assert readme_commands() == [e["argv"] for e in README_EXAMPLES]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "example",
+        README_EXAMPLES,
+        ids=[" ".join(e["argv"]).replace("/tmp/corpus/", "") for e in README_EXAMPLES],
+    )
+    def test_stdout_unchanged(self, corpus_dir, capsys, example, fmt):
+        argv = [a.replace("/tmp/corpus", str(corpus_dir)) for a in example["argv"]]
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert (code, err) == (0, "")
+        assert out == example[fmt]
+
+
+def _commutator_braid_text(rng: random.Random, strands: int, count: int) -> str:
+    # count left-normed commutators [a, b, c] of random generators A_ij^+-1,
+    # ten letters each
+    pairs = [(i, j) for i in range(1, strands + 1) for j in range(i + 1, strands + 1)]
+    letters = []
+    for _ in range(count):
+        word = []
+        for _ in range(3):
+            g = (*rng.choice(pairs), rng.choice((1, -1)))
+            if word:
+                inv = [(i, j, -e) for i, j, e in reversed(word)]
+                word = inv + [(g[0], g[1], -g[2])] + word + [g]
+            else:
+                word = [g]
+        letters += word
+    tokens = [f"A{i}{j}" + ("" if e == 1 else "^-1") for i, j, e in letters]
+    return f"{strands}; " + " ".join(tokens) + "\n"
+
+
+class TestArtinLetterBudget:
+    def test_commutator_braid_exit_3(self, tmp_path, capsys):
+        # Artin images of this 100-letter braid in Gamma_3(P_4) pass
+        # 100,000 letters at its 27th letter and grow exponentially after
+        text = _commutator_braid_text(random.Random(2), 4, 10)
+        assert len(text.split()) == 101
+        path = tmp_path / "gamma3.braid"
+        path.write_text(text)
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "3")
+        assert code == 3
+        assert out == ""
+        assert "LETTER_BUDGET = 100000" in err

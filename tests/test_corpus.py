@@ -11,9 +11,8 @@ from mubar.corpus import (
     milnor_l6_system,
     random_pure_braid,
     random_realized_system,
-    sublink,
 )
-from mubar.links import artin_longitudes, parse_braid
+from mubar.links import artin_longitudes, parse_braid, reorder
 from mubar.milnor import all_vanish_up_to, mu_bar
 from mubar.words import parse_word
 
@@ -109,7 +108,7 @@ class TestSublink:
         for _ in range(10):
             braid = random_pure_braid(rng, 3, rng.randint(0, 8))
             full = artin_longitudes(braid, 5)
-            kept = sublink(full, (1, 2))
+            kept = reorder(full, (1, 2))
             deleted = type(braid)(
                 2, tuple(l for l in braid.letters if 3 not in l[:2])
             )
@@ -119,13 +118,13 @@ class TestSublink:
     def test_validation(self):
         system = artin_longitudes(borromean_braid(), 4)
         with pytest.raises(ValueError):
-            sublink(system, (1, 1))
+            reorder(system, (1, 1))
         with pytest.raises(ValueError):
-            sublink(system, (0, 2))
+            reorder(system, (0, 2))
 
     def test_borromean_sublinks_trivial(self):
         # deleting any Borromean component unlinks the other two
         system = artin_longitudes(borromean_braid(), 4)
         for pair in ((1, 2), (1, 3), (2, 3)):
-            sub = sublink(system, pair)
+            sub = reorder(system, pair)
             assert all_vanish_up_to(sub, 3)

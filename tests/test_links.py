@@ -1,7 +1,9 @@
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubar.corpus import (
     borromean_braid,
@@ -29,10 +31,92 @@ from mubar.links import (
     mirror_pd,
     parse_braid,
     reorder,
-    reorient,
 )
 from mubar.milnor import LongitudeSystem, all_vanish_up_to, delta, mu, mu_bar
-from mubar.words import Word, commutator, generator, identity
+from mubar.mutation import (
+    MUTATION_TYPES,
+    _require_two_components,
+    apply_mutation,
+)
+from mubar.words import Word, commutator, generator, identity, substitute
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the relabelling maps that reorder(a, comps, flip) replaced,
+# verbatim apart from their names.
+
+
+def reorder_oracle(a: LongitudeSystem, perm) -> LongitudeSystem:
+    """Relabel components: new component k is old component perm[k-1]."""
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(1, a.m + 1)):
+        raise PreconditionError(f"{perm} is not a permutation of 1..{a.m}")
+    images = {perm[t]: generator(t + 1) for t in range(a.m)}
+    longs = tuple(substitute(a.longitudes[p - 1], images) for p in perm)
+    return LongitudeSystem(a.m, a.depth, longs)
+
+
+def reorient_oracle(a: LongitudeSystem, comps) -> LongitudeSystem:
+    """Reverse the orientation of the given components.
+
+    Meridians of reversed components invert in every word; the
+    longitude of a reversed component is additionally read backwards
+    (word reversal with inverted letters).  0-framing is preserved.
+    """
+    flip = set(int(c) for c in comps)
+    for c in flip:
+        if not 1 <= c <= a.m:
+            raise PreconditionError(f"component {c} out of range 1..{a.m}")
+    images = {
+        i: generator(i, -1 if i in flip else 1) for i in range(1, a.m + 1)
+    }
+    longs = []
+    for i, w in enumerate(a.longitudes, start=1):
+        if i in flip:
+            w = w.inverse()
+        longs.append(substitute(w, images))
+    return LongitudeSystem(a.m, a.depth, tuple(longs))
+
+
+def sublink_oracle(system: LongitudeSystem, keep) -> LongitudeSystem:
+    """Delete all components except ``keep`` (1-based, ascending order).
+
+    Meridians of deleted components are killed and survivors renumbered;
+    for realized systems this is the longitude system of the sublink.
+    """
+    kept = tuple(int(k) for k in keep)
+    if sorted(set(kept)) != sorted(kept) or not kept:
+        raise ValueError(f"bad component selection {kept}")
+    for k in kept:
+        if not 1 <= k <= system.m:
+            raise ValueError(f"component {k} out of range 1..{system.m}")
+    images = {i: Word() for i in range(1, system.m + 1)}
+    for new_pos, old in enumerate(sorted(kept), start=1):
+        images[old] = generator(new_pos)
+    longs = tuple(
+        substitute(system.longitudes[old - 1], images) for old in sorted(kept)
+    )
+    return LongitudeSystem(len(kept), system.depth, longs)
+
+
+def apply_mutation_oracle(system: LongitudeSystem, tau: str) -> LongitudeSystem:
+    """The beta half of a mutant: F reorders, R reorients, FR does both."""
+    if tau not in MUTATION_TYPES:
+        raise PreconditionError(f"unknown mutation type {tau!r}")
+    _require_two_components(system)
+    out = system
+    if "F" in tau:
+        out = reorder_oracle(out, (2, 1))
+    if "R" in tau:
+        out = reorient_oracle(out, (1, 2))
+    return out
+
+
+def relabel_oracle(a: LongitudeSystem, comps, flip) -> LongitudeSystem:
+    """reorder(a, comps, flip) as reorient, then sublink, then reorder."""
+    kept = sorted(comps)
+    sub = sublink_oracle(reorient_oracle(a, flip), kept)
+    return reorder_oracle(sub, [kept.index(c) + 1 for c in comps])
 
 
 class TestPDValidation:
@@ -299,16 +383,60 @@ class TestReorderReorient:
 
     def test_reorient_both_components_of_hopf(self):
         hopf = longitudes_mod_q(hopf_pd(), 4)
-        assert mu(reorient(hopf, (1, 2)), (1, 2)) == 1
+        assert mu(reorder(hopf, (1, 2), flip=(1, 2)), (1, 2)) == 1
 
     def test_reorient_one_component_negates_linking(self):
         hopf = longitudes_mod_q(hopf_pd(), 4)
-        assert mu(reorient(hopf, (1,)), (1, 2)) == -1
+        assert mu(reorder(hopf, (1, 2), flip=(1,)), (1, 2)) == -1
 
     def test_reorient_involution(self):
         system = longitudes_mod_q(borromean_pd(), 4)
-        assert reorient(reorient(system, (1, 3)), (1, 3)) == system
+        once = reorder(system, (1, 2, 3), flip=(1, 3))
+        assert reorder(once, (1, 2, 3), flip=(1, 3)) == system
 
     def test_reorient_out_of_range(self):
         with pytest.raises(PreconditionError):
-            reorient(borromean_system(4), (4,))
+            reorder(borromean_system(4), (1, 2, 3), flip=(4,))
+
+    def test_bad_selections(self):
+        system = borromean_system(4)
+        for comps in ((), (1, 1), (0, 2), (1, 4)):
+            with pytest.raises(PreconditionError):
+                reorder(system, comps)
+
+
+def _oracle_systems():
+    rng = random.Random(401)
+    return [
+        pytest.param(longitudes_mod_q(borromean_pd(), 4), id="borromean_pd"),
+        pytest.param(borromean_system(4), id="borromean_system"),
+    ] + [
+        pytest.param(random_realized_system(rng, depth=5), id=f"realized{k}")
+        for k in range(12)
+    ]
+
+
+class TestReorderAgainstOracles:
+    @pytest.mark.parametrize("system", _oracle_systems())
+    def test_exhaustive(self, system):
+        comps = range(1, system.m + 1)
+        flips = [
+            f for size in range(system.m + 1) for f in combinations(comps, size)
+        ]
+        for perm in permutations(comps):
+            assert reorder(system, perm) == reorder_oracle(system, perm)
+        for keep in flips[1:]:
+            assert reorder(system, keep) == sublink_oracle(system, keep)
+        for flip in flips:
+            assert reorder(system, comps, flip) == reorient_oracle(system, flip)
+            for keep in flips[1:]:
+                for order in permutations(keep):
+                    assert reorder(system, order, flip) == relabel_oracle(
+                        system, order, flip
+                    )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(MUTATION_TYPES))
+    def test_apply_mutation_matches_oracle(self, seed, tau):
+        system = random_realized_system(random.Random(seed), depth=5)
+        assert apply_mutation(system, tau) == apply_mutation_oracle(system, tau)

@@ -13,7 +13,7 @@ from mubar.corpus import (
     random_realized_system,
 )
 from mubar.errors import PreconditionError
-from mubar.links import connected_sum, inverse_mirror, longitudes_mod_q
+from mubar.links import connected_sum, inverse_mirror, longitudes_mod_q, reorder
 from mubar.milnor import (
     LongitudeSystem,
     delta,
@@ -248,8 +248,7 @@ class TestWeightLt6:
 
 
 def sub_borromean():
-    from mubar.corpus import sublink
-    return sublink(longitudes_mod_q(borromean_pd(), 5), (1, 2))
+    return reorder(longitudes_mod_q(borromean_pd(), 5), (1, 2))
 
 
 class TestFindDetector:
@@ -330,4 +329,4 @@ class TestApplyMutation:
         system = sub_borromean()
         reversed_system = apply_mutation(system, "R")
         for old, new in zip(system.longitudes, reversed_system.longitudes):
-            assert new == old.reverse()
+            assert new == Word(tuple(reversed(old.letters)))

@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mubar.magnus
+import mubar.milnor
 from mubar.corpus import (
     borromean_pd,
     hopf_pd,
@@ -16,7 +20,8 @@ from mubar.surgery import (
     mutative_pair_report,
     self_mutation_ninth_quotient,
 )
-from mubar.words import Word, left_normed
+from mubar.magnus import lcs_depth
+from mubar.words import Word, commutator, left_normed
 
 
 def mutative_pair_report_oracle(
@@ -83,6 +88,22 @@ class TestLcqIsFree:
         assert not report.free
 
 
+_letters = st.tuples(st.integers(1, 3), st.sampled_from((1, -1)))
+_words = st.lists(_letters, max_size=6).map(lambda ls: Word(tuple(ls)))
+
+
+class TestRouteBDepth:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_words, min_size=1, max_size=4), st.integers(2, 7))
+    def test_expanding_at_q_decides_like_q_plus_one(self, factors, q):
+        # route B asks whether some nonconstant term of degree < q
+        # exists; the extra degree of a q + 1 expansion cannot matter
+        w = factors[0]
+        for v in factors[1:]:
+            w = commutator(w, v)
+        assert (lcs_depth(w, q) < q) == (lcs_depth(w, q + 1) < q)
+
+
 class TestMutativePair:
     def test_trivial_alpha_negative_report(self):
         trivial = LongitudeSystem(2, 7, (Word(), Word()))
@@ -100,6 +121,26 @@ class TestMutativePair:
         assert not report.mutant.free
         assert report.mutant.witness_index is not None
         assert all(r.residue != 0 for r in report.witnesses)
+
+    def test_each_system_expanded_once(self, monkeypatch):
+        # two longitudes each of alpha, beta and the mutant (read through
+        # the LongitudeSystem cache by the detector scan, the reports and
+        # route A), two of the ribbon sum for route A, then route B's own
+        # expansions: two for the ribbon sum and one for the mutant,
+        # whose first relator is already shallow.  Building the mutant
+        # for every detector made this 43.
+        calls = []
+        expand = mubar.magnus.magnus_expand
+
+        def counting(w, q):
+            calls.append(q)
+            return expand(w, q)
+
+        monkeypatch.setattr(mubar.milnor, "magnus_expand", counting)
+        monkeypatch.setattr(mubar.magnus, "magnus_expand", counting)
+        report = mutative_pair_report(milnor_l6_system(7), 6, "F")
+        assert len(report.detectors) == 30
+        assert len(calls) <= 11
 
     def test_json_shape(self):
         alpha = milnor_l6_system()

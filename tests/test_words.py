@@ -67,6 +67,21 @@ class TestMultiply:
             assert (a * b) * c == a * (b * c)
 
 
+class TestPower:
+    def test_long_power_matches_exponent_token(self):
+        assert generator(2) ** 20000 == parse_word("x2^20000")
+
+    def test_matches_repeated_product(self):
+        rng = random.Random(31)
+        for _ in range(50):
+            word = random_word(rng, 6)
+            for n in range(-4, 5):
+                expected = identity()
+                for _ in range(abs(n)):
+                    expected = expected * (word if n > 0 else word.inverse())
+                assert word ** n == expected
+
+
 class TestInvert:
     def test_examples(self):
         assert w("x1 x2").inverse() == w("x2^-1 x1^-1")
