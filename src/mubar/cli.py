@@ -62,13 +62,16 @@ def load_system(path: str, depth: int) -> LongitudeSystem:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
         if "longitudes" in data:
+            words = data["longitudes"]
+            if not isinstance(words, list) or not all(
+                isinstance(w, str) for w in words
+            ):
+                raise ParseError(f"{path}: longitudes must be a list of words")
             try:
                 system = LongitudeSystem(
                     m=int(data["m"]),
                     depth=int(data["depth"]),
-                    longitudes=tuple(
-                        parse_word(w) for w in data["longitudes"]
-                    ),
+                    longitudes=tuple(parse_word(w) for w in words),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 if isinstance(exc, (ParseError, PreconditionError)):

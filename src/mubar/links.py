@@ -200,52 +200,59 @@ def _writhes(pd: PDCode) -> list[int]:
     return w
 
 
-def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
-    """Longitude words valid mod F_q by iterated meridian rewriting.
+def _running_products(pd: PDCode, walk, exprs: dict[int, Word]) -> list[Word]:
+    # Entry t is the product of u^s over the first t passages of the walk
+    # (u the over-strand's arc expression, s the crossing sign): the t-th
+    # arc's conjugator, and at t = len(walk) the unframed longitude.
+    conj = identity()
+    out = [conj]
+    for kind, k in walk:
+        if kind == "under":
+            x = pd.crossings[k]
+            u = exprs[x.arcs[1]]
+            conj = conj * (u if x.sign == 1 else u.inverse())
+        out.append(conj)
+    return out
 
-    Every arc expression starts as the base meridian of its component;
-    each of the q rewriting rounds re-derives all arc expressions along
-    the component from the base arc, conjugating by the previous
-    round's expression of the over-strand at every under-passage.
+
+def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
+    """Longitude words valid mod F_q after q - 2 rounds of rewriting.
+
+    Arc expressions start as the base meridian x_i of their component.
+    A round walks each component from its base arc and sets the t-th
+    arc to w^-1 x_i w, with w the product of u^s over the first t
+    under-passages in the previous round's expressions.  The longitude
+    is the whole walk's product times x_i^-writhe (the 0-framing).
+
+    Why q - 2 rounds suffice: after r rounds every arc expression is
+    right mod F_(r+2).  For r = 0, w^-1 x_i w = x_i mod F_2.  A round
+    changes the conjugators by factors in F_(r+2), and conjugators that
+    differ by c in F_k conjugate x_i to words that differ by a
+    commutator in F_(k+1).  Longitudes are products of arc expressions,
+    so after q - 2 rounds they are right mod F_q and every Magnus
+    coefficient of degree < q is final; one round fewer is not enough.
     """
     if q < 2:
         raise PreconditionError("depth must be at least 2")
     check_term_budget(pd.m, q)
     walks = _trace(pd)
-
-    exprs: dict[int, Word] = {}
-    for i, comp in enumerate(pd.components, start=1):
-        for arc in comp:
-            exprs[arc] = generator(i)
-
-    for _ in range(q):
-        new: dict[int, Word] = {}
-        for i, (comp, walk) in enumerate(zip(pd.components, walks), start=1):
-            xi = generator(i)
-            conj = identity()
-            new[comp[0]] = xi
-            for t, (kind, k) in enumerate(walk[:-1] if walk else []):
-                if kind == "under":
-                    x = pd.crossings[k]
-                    u = exprs[x.arcs[1]]
-                    conj = conj * (u if x.sign == 1 else u.inverse())
-                new[comp[(t + 1) % len(comp)]] = conj.inverse() * xi * conj
-        exprs = new
+    exprs = {
+        arc: generator(i)
+        for i, comp in enumerate(pd.components, start=1) for arc in comp
+    }
+    for _ in range(q - 2):
+        exprs = {
+            arc: w.inverse() * generator(i) * w
+            for i, (comp, walk) in enumerate(zip(pd.components, walks), start=1)
+            for arc, w in zip(comp, _running_products(pd, walk, exprs))
+        }
         check_work_budget(sum(map(len, exprs.values())), pd.m, q)
-
-    longs: list[Word] = []
-    writhes = _writhes(pd)
-    for i, (comp, walk) in enumerate(zip(pd.components, walks), start=1):
-        lw = identity()
-        for kind, k in walk:
-            if kind == "under":
-                x = pd.crossings[k]
-                u = exprs[x.arcs[1]]
-                lw = lw * (u if x.sign == 1 else u.inverse())
-        lw = lw * generator(i) ** (-writhes[i - 1])
-        longs.append(lw)
+    longs = tuple(
+        _running_products(pd, walk, exprs)[-1] * generator(i) ** (-writhe)
+        for i, (walk, writhe) in enumerate(zip(walks, _writhes(pd)), start=1)
+    )
     try:
-        return LongitudeSystem(pd.m, q, tuple(longs))
+        return LongitudeSystem(pd.m, q, longs)
     except ValueError as exc:
         # e.g. asymmetric linking numbers from an inconsistent PD code
         raise ParseError(f"malformed PD code: {exc}") from exc
@@ -335,35 +342,22 @@ def _sigmas(i: int, j: int, e: int) -> list[tuple[int, int]]:
     return seq
 
 
-def _sigma_images(k: int, n: int, eps: int) -> dict[int, Word]:
-    # Artin generator of the braid group: x_k -> x_k x_{k+1} x_k^-1,
-    # x_{k+1} -> x_k; all other generators fixed.
-    images = {i: generator(i) for i in range(1, n + 1)}
-    if eps == 1:
-        images[k] = generator(k) * generator(k + 1) * generator(k, -1)
-        images[k + 1] = generator(k)
-    else:
-        images[k] = generator(k + 1)
-        images[k + 1] = generator(k + 1, -1) * generator(k) * generator(k + 1)
-    return images
-
-
-def _compose(outer: dict[int, Word], inner: dict[int, Word]) -> dict[int, Word]:
-    return {i: substitute(w, outer) for i, w in inner.items()}
-
-
 def _artin_automorphism(b: PureBraidWord) -> dict[int, Word]:
-    # Each letter's short step is composed first and then substituted
-    # into the long images once.  The exact images can grow
-    # exponentially in braid length, so their total length is held to
-    # LETTER_BUDGET after every letter.
+    # A_ij^e, with c = x_i x_j and d = x_j x_i, conjugates x_i and x_j by
+    # c^e and every x_r with i < r < j by c^e d^-e (x -> g x g^-1), and
+    # fixes the rest.  Each letter's step is substituted into the long
+    # images, which can grow exponentially in braid length, so their
+    # total length is held to LETTER_BUDGET after every letter.
     n = b.strands
     images = {i: generator(i) for i in range(1, n + 1)}
     for i, j, e in b.letters:
+        c = (generator(i) * generator(j)) ** e
+        d = (generator(j) * generator(i)) ** e
         step = {t: generator(t) for t in range(1, n + 1)}
-        for k, eps in _sigmas(i, j, e):
-            step = _compose(_sigma_images(k, n, eps), step)
-        images = _compose(step, images)
+        for r in range(i, j + 1):
+            g = c if r in (i, j) else c * d.inverse()
+            step[r] = g * generator(r) * g.inverse()
+        images = {t: substitute(w, step) for t, w in images.items()}
         check_letter_budget(sum(map(len, images.values())))
     return images
 

@@ -220,6 +220,8 @@ def find_detector(alpha: LongitudeSystem, q: int, tau: str) -> list[Index]:
     _require_two_components(alpha)
     if tau not in MUTATION_TYPES:
         raise PreconditionError(f"unknown mutation type {tau!r}")
+    if q < 2:
+        raise PreconditionError("weight must be at least 2")
     check_weight(alpha, q)
     witness = first_nonvanishing(alpha, q - 1)
     if witness is not None:

@@ -111,6 +111,19 @@ class TestMutationVerbs:
         assert code == 0
         assert "112222" in json.loads(out)["detectors"]
 
+    @pytest.mark.parametrize("weight", ["-3", "0", "1"])
+    @pytest.mark.parametrize(
+        "verb, flag", [("find-detector", "--weight"), ("lcq", "--q")]
+    )
+    def test_weight_below_two_exit_3(self, corpus_dir, capsys, verb, flag, weight):
+        link = "--alpha" if verb == "find-detector" else "--mutant-of"
+        code, out, err = run(
+            capsys, verb, link, str(corpus_dir / "l6.json"), flag, weight,
+            "--type", "F",
+        )
+        assert (code, out) == (3, "")
+        assert err == "mubar: precondition violated: weight must be at least 2\n"
+
 
 class TestMasseyVerb:
     def test_expansion_and_value(self, corpus_dir, capsys):
@@ -205,6 +218,26 @@ class TestErrorsAndFormats:
         code, _, err = run(capsys, "mu", "--link", str(bad), "--index", "12")
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize(
+        "m, longitudes",
+        [
+            (2, ["x2", 5]),
+            (2, ["x2", None]),
+            (2, ["x2", ["x1"]]),
+            (2, None),
+            (1, "e"),
+        ],
+        ids=["int", "null", "list", "null-field", "string-field"],
+    )
+    def test_longitudes_not_a_list_of_words_exit_2(
+        self, tmp_path, capsys, m, longitudes
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"m": m, "depth": 3, "longitudes": longitudes}))
+        code, out, err = run(capsys, "mu", "--link", str(path), "--index", "11")
+        assert (code, out) == (2, "")
+        assert err == f"mubar: parse error: {path}: longitudes must be a list of words\n"
 
     def test_inconsistent_pd_exit_2(self, tmp_path, capsys):
         # passes load_pd and the component walks, but its linking
@@ -391,6 +424,15 @@ class TestWorkBudget:
         assert code == 3
         assert out == ""
         assert "WORK_BUDGET = 10000000000" in err
+
+    def test_borromean_pd_at_depth_11_exit_3(self, corpus_dir, capsys):
+        # nine rewriting rounds: 185,262 arc letters by 88,573 terms
+        code, out, err = run(
+            capsys, "mu-bar", "--link", str(corpus_dir / "borromean.json"),
+            "--index", "123", "--depth", "11",
+        )
+        assert (code, out) == (3, "")
+        assert "185262 letters" in err and "WORK_BUDGET = 10000000000" in err
 
     def test_borromean_pd_at_depth_13_exit_3(self, corpus_dir, capsys):
         code, out, err = run(

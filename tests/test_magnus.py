@@ -378,12 +378,19 @@ class TestTermBudget:
 
 class TestWorkBudget:
     def test_borromean_depth_9_fits(self):
-        # the arc letters of the last rewriting round at depth 9
+        # the arc letters of nine rewriting rounds on the Borromean PD
         check_work_budget(185_262, 3, 9)
 
     def test_borromean_depth_10_over_budget(self):
+        # ten rounds
         with pytest.raises(PreconditionError, match="WORK_BUDGET = 10000000000"):
             check_work_budget(599_358, 3, 10)
+
+    def test_borromean_q_minus_2_rounds(self):
+        # eight rounds at depth 10 fit; nine at depth 11 do not
+        check_work_budget(57_216, 3, 10)
+        with pytest.raises(PreconditionError, match="WORK_BUDGET = 10000000000"):
+            check_work_budget(185_262, 3, 11)
 
     def test_expand_check(self):
         w = parse_word("x2^20000 x3^20000 x2^-20000 x3^-20000")
