@@ -19,7 +19,10 @@ choice of root edge and of child order per vertex, with the sign of
 the antisymmetry (AS) relation of Habegger-Masbaum ("The Kontsevich
 integral and Milnor's invariants", Topology 2000).  So canonicalize()
 re-roots the tree at each of its 2(2n-3) directed edges, keeping the
-best child order per subtree, in O(n^2) time and with no cache.
+best child order per branch, in O(n^2) time.  A Canonicalizer keeps
+the downward branches it has built, keyed by sub-bracket; massey_sum()
+shares one across its bracketings, and it is dropped when the call
+returns, so no table outlives a call.
 
 Among equally balanced splits the representative has the smaller side
 on the left, then the most string-like rendering (fewest parentheses),
@@ -34,8 +37,8 @@ q-1 letters, collected as an integer combination of canonical minimal
 linkings; evaluate() substitutes numeric values for them.
 
 The enumeration grows like the Catalan numbers, so the weight is capped
-at 12 (WEIGHT_CAP): massey_sum takes about 0.4 s at weight 10 and 6 s at
-weight 12.
+at 12 (WEIGHT_CAP): massey_sum takes about 0.1 s at weight 10 and 1.5 s
+at weight 12.
 """
 
 from __future__ import annotations
@@ -184,31 +187,6 @@ class _Side(NamedTuple):
     form: int  # id of the branch as an unordered labelled tree
 
 
-def _trivalent(tree: Bracket) -> tuple[list[int], list[list[int]]]:
-    """Read lk(tree) as an unrooted tree: leaf labels and neighbours.
-
-    Vertex v is a leaf with ``labels[v]`` its component, or an internal
-    vertex (label 0) whose neighbours ``[parent, left, right]`` record
-    the input's cyclic order.  The top split is the edge joining the
-    two top children, so it is no vertex.
-    """
-    labels: list[int] = []
-    nbrs: list[list[int]] = []
-
-    def add(t: Bracket, parent: int) -> int:
-        v = len(labels)
-        labels.append(t if isinstance(t, int) else 0)
-        nbrs.append([parent])
-        if not isinstance(t, int):
-            nbrs[v].append(add(t[0], v))
-            nbrs[v].append(add(t[1], v))
-        return v
-
-    left = add(tree[0], -1)
-    nbrs[left][0] = add(tree[1], left)
-    return labels, nbrs
-
-
 def _join(a: _Side, b: _Side, flip: int, form: int) -> _Side:
     pa, ia, ua, seqa, shapea = a.key
     pb, ib, ub, seqb, shapeb = b.key
@@ -224,76 +202,150 @@ def _join(a: _Side, b: _Side, flip: int, form: int) -> _Side:
     return _Side(key, (a.tree, b.tree), a.weight + b.weight, flips, form)
 
 
+def _vertex(a: _Side, b: _Side, form: int) -> _Side:
+    """The better child order at a vertex whose branches follow as a, b."""
+    kept, swapped = _join(a, b, 0, form), _join(b, a, 1, form)
+    return kept if kept.key <= swapped.key else swapped
+
+
+def _choose(best, left: _Side, right: _Side):
+    """best, or the root edge (left, right) if its tie-break key is less."""
+    lk, rk = left.key, right.key
+    key = (lk[0] + rk[0], lk[1] + rk[1], lk[2] + rk[2], lk[3], lk[4], rk[3], rk[4])
+    if best is None or key < best[0]:
+        return key, left, right
+    return best
+
+
+class Canonicalizer:
+    """canonicalize() with branches shared across the trees of one job.
+
+    ``forms`` numbers branches as unordered labelled rooted trees (a
+    leaf by its component, a pair by its two forms), and ``sides`` holds
+    the best orientation of each downward branch, keyed by sub-bracket.
+    Both depend only on the branch, so one instance serves any number of
+    trees: massey_sum() makes one per call, and the bracketings it feeds
+    in share most of their sub-brackets.  Nothing outlives the instance.
+    """
+
+    def __init__(self) -> None:
+        self.forms: dict = {}
+        self.sides: dict[Bracket, _Side] = {}
+
+    def _form(self, a: int, b: int) -> int:
+        return self.forms.setdefault((a, b) if a < b else (b, a), len(self.forms))
+
+    def side(self, t: Bracket) -> _Side:
+        """Best orientation of sub-bracket t, hanging below its parent."""
+        got = self.sides.get(t)
+        if got is None:
+            if isinstance(t, int):
+                form = self.forms.setdefault(t, len(self.forms))
+                got = _Side((0, 0, 0, (-t,), (0,)), t, 1, 0, form)
+            else:
+                a, b = self.side(t[0]), self.side(t[1])
+                got = _vertex(a, b, self._form(a.form, b.form))
+            self.sides[t] = got
+        return got
+
+    def canonicalize(self, tree: Bracket, sign: int = 1) -> tuple[Bracket, int]:
+        """Canonical minimal linking of lk(tree) and the accumulated sign.
+
+        lk(tree) is read as an unrooted trivalent tree whose internal
+        vertices carry the cyclic order (parent, left, right).  A
+        re-association moves the root edge and keeps every cyclic order;
+        a sub-bracket swap reverses one vertex's order at sign -1.  The
+        class is therefore every choice of root edge, root direction and
+        child order per vertex, and a member's sign is -1 to the number
+        of vertices whose order differs from the input.  Weight 2 has no
+        vertex: lk(x,y) and lk(y,x) are different classes.
+
+        The representative minimizes the top imbalance ||u|-|v||, then
+        the tie-break order of the module docstring.  Its parts decompose
+        over branches, so each branch keeps the better of its two child
+        orders, and the root is the best of the 2(2n-3) directed edges.
+        Every vertex's downward branch comes from the shared table; its
+        upward branch (the rest of the tree) first gets only its weight
+        and form.  The full tie-break key is built only for root edges
+        of least (imbalance, left weight), and an upward branch only
+        along the path such an edge needs.
+
+        The returned sign s satisfies lk(tree) = s * lk(representative).
+        A sign of 0 marks a degenerate class (equivalent to its own
+        negative, hence forced to vanish); this happens exactly when
+        some vertex has two branches that are isomorphic as unordered
+        labelled rooted trees, e.g. the pair (u,u) below the top.
+        """
+        if isinstance(tree, int):
+            raise PreconditionError("a formal linking needs weight > 1")
+        if isinstance(tree[0], int) and isinstance(tree[1], int):
+            return tree, sign
+        # Vertices in preorder of tree[0], then of tree[1]; the two top
+        # vertices are each other's parent.  down[v] is v's downward
+        # branch and above[v] the form of the branch at parent[v] that
+        # hangs away from v.
+        side, form = self.side, self._form
+        first, second = side(tree[0]), side(tree[1])
+        n, top = first.weight + second.weight, 2 * first.weight - 1
+        down: list[_Side] = []
+        parent: list[int] = []
+        kids: list[tuple[int, int] | None] = []
+        above: list[int] = []
+        degenerate = False
+        stack = [(tree[1], second, 0, first.form), (tree[0], first, top, second.form)]
+        while stack:
+            t, d, p, up = stack.pop()
+            v = len(down)
+            down.append(d)
+            parent.append(p)
+            above.append(up)
+            if isinstance(t, int):
+                kids.append(None)
+                continue
+            a, b = side(t[0]), side(t[1])
+            degenerate = degenerate or a.form == b.form or up in (a.form, b.form)
+            kids.append((v + 1, v + 2 * a.weight))
+            stack.append((t[1], b, v, form(a.form, up)))
+            stack.append((t[0], a, v, form(b.form, up)))
+
+        ups: list[_Side | None] = [None] * len(down)
+        ups[0], ups[top] = second, first
+
+        def upward(x: int) -> _Side:
+            # the branch at parent[x] that hangs away from x, built lazily
+            got = ups[x]
+            if got is None:
+                p = parent[x]
+                a, b = kids[p]
+                if x == a:
+                    got = _vertex(down[b], upward(p), above[x])
+                else:
+                    got = _vertex(upward(p), down[a], above[x])
+                ups[x] = got
+            return got
+
+        # Root edges in the order (vertex, its neighbours parent, left,
+        # right); only those of least (imbalance, left weight) compete.
+        target = max(min(d.weight, n - d.weight) for d in down)
+        best = None
+        for u, d in enumerate(down):
+            if d.weight == target:
+                best = _choose(best, d, upward(u))
+            for c in kids[u] or ():
+                if n - down[c].weight == target:
+                    best = _choose(best, upward(c), down[c])
+        _, left, right = best
+        if degenerate:
+            return (left.tree, right.tree), 0
+        return (left.tree, right.tree), sign * (-1) ** (left.flips + right.flips)
+
+
 def canonicalize(tree: Bracket, sign: int = 1) -> tuple[Bracket, int]:
     """Canonical minimal linking of lk(tree) and the accumulated sign.
 
-    lk(tree) is read as an unrooted trivalent tree whose internal
-    vertices carry the cyclic order (parent, left, right).  A
-    re-association moves the root edge and keeps every cyclic order; a
-    sub-bracket swap reverses one vertex's order at sign -1.  The class
-    is therefore every choice of root edge, root direction and child
-    order per vertex, and a member's sign is -1 to the number of
-    vertices whose order differs from the input.  Weight 2 has no
-    vertex: lk(x,y) and lk(y,x) are different classes.
-
-    The representative minimizes the top imbalance ||u|-|v||, then the
-    tie-break order of the module docstring.  Its parts decompose over
-    subtrees, so each directed edge keeps the better of its two child
-    orders, and the root is the best of the 2(2n-3) directed edges.
-    The returned sign s satisfies lk(tree) = s * lk(representative).
-    A sign of 0 marks a degenerate class (equivalent to its own
-    negative, hence forced to vanish); this happens exactly when some
-    vertex has two branches that are isomorphic as unordered labelled
-    rooted trees, e.g. the pair (u,u) below the top.
+    A one-shot Canonicalizer; see Canonicalizer.canonicalize.
     """
-    if isinstance(tree, int):
-        raise PreconditionError("a formal linking needs weight > 1")
-    if isinstance(tree[0], int) and isinstance(tree[1], int):
-        return tree, sign
-    labels, nbrs = _trivalent(tree)
-    forms: dict = {}
-    sides: dict[tuple[int, int], _Side] = {}
-
-    def side(p: int, c: int) -> _Side:
-        # the branch at c that hangs away from its neighbour p
-        got = sides.get((p, c))
-        if got is not None:
-            return got
-        if labels[c]:
-            leaf = labels[c]
-            form = forms.setdefault(leaf, len(forms))
-            got = _Side((0, 0, 0, (-leaf,), (0,)), leaf, 1, 0, form)
-        else:
-            # children in the input's cyclic order after p, at flip 0
-            at = nbrs[c].index(p)
-            a = side(c, nbrs[c][(at + 1) % 3])
-            b = side(c, nbrs[c][(at + 2) % 3])
-            pair = (min(a.form, b.form), max(a.form, b.form))
-            form = forms.setdefault(pair, len(forms))
-            got = min(_join(a, b, 0, form), _join(b, a, 1, form), key=lambda o: o.key)
-        sides[(p, c)] = got
-        return got
-
-    best = None
-    for u, around in enumerate(nbrs):
-        for v in around:
-            left, right = side(v, u), side(u, v)
-            key = (
-                abs(left.weight - right.weight),
-                left.weight,
-                left.key[0] + right.key[0],
-                left.key[1] + right.key[1],
-                left.key[2] + right.key[2],
-                left.key[3:],
-                right.key[3:],
-            )
-            if best is None or key < best[0]:
-                best = (key, left, right)
-    _, left, right = best
-    for v, around in enumerate(nbrs):
-        if not labels[v] and len({side(v, n).form for n in around}) < 3:
-            return (left.tree, right.tree), 0
-    return (left.tree, right.tree), sign * (-1) ** (left.flips + right.flips)
+    return Canonicalizer().canonicalize(tree, sign)
 
 
 def parenthesizations(letters: Index, last: int) -> list[Bracket]:
@@ -368,9 +420,10 @@ def massey_sum(index) -> LinkingExpr:
             f"index entries must lie in 1..{len(LETTERS)} to render as letters"
         )
     sign = -1 if len(entries) % 2 else 1
+    canon = Canonicalizer()
     acc: dict[Bracket, int] = {}
     for linking in parenthesizations(entries[:-1], entries[-1]):
-        rep, s = canonicalize(linking)
+        rep, s = canon.canonicalize(linking)
         if s == 0:
             continue
         acc[rep] = acc.get(rep, 0) + sign * s
@@ -381,6 +434,19 @@ def evaluate(expr: LinkingExpr, values: dict) -> int:
     """Linear evaluation; linkings absent from values count as 0."""
     total, _ = evaluate_detailed(expr, values)
     return total
+
+
+def _integer_value(tree: Bracket, val) -> int:
+    # int() would truncate 1.5, read true as 1 and overflow on 1e400
+    # (inf), so only integral finite numbers and integer strings pass.
+    if not isinstance(val, bool) and not (isinstance(val, float) and not val.is_integer()):
+        try:
+            return int(val)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(
+        f"linking value for {render_linking(tree)} is not an integer: {val!r}"
+    )
 
 
 def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
@@ -405,16 +471,11 @@ def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
                 f"cap WEIGHT_CAP = {WEIGHT_CAP}"
             )
         tree = parse_linking(key) if isinstance(key, str) else key
+        value = _integer_value(tree, val)
         rep, s = canonicalize(tree)
         if s == 0:
             continue
-        try:
-            effective = s * int(val)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(
-                f"linking value for {render_linking(tree)} is not an "
-                f"integer: {val!r}"
-            ) from exc
+        effective = s * value
         if rep in canon_values and canon_values[rep] != effective:
             raise ParseError(
                 f"conflicting values for equivalent linkings at "

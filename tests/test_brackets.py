@@ -2,13 +2,15 @@ import math
 import random
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mubar.brackets import (
     Bracket,
+    Canonicalizer,
     LinkingExpr,
     canonicalize,
     evaluate,
@@ -143,6 +145,137 @@ def oracle_classes(trees):
         for member, f in rel.items():
             expected[member] = (rep, 0 if degenerate else f * rel[rep])
     return expected
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the re-rooting canonicalizer as it was before branches were
+# shared across trees.  It rebuilds every directed branch of each tree
+# from scratch and builds the full key of every root edge.
+
+
+class _Side(NamedTuple):
+    """Best orientation of one branch of the linking tree."""
+
+    # (parenthesis pairs, inverted leaf pairs, inner pairs with the
+    # smaller side first, leaf sequence with later components first,
+    # shape in preorder) -- the per-side parts of the selection order.
+    key: tuple
+    tree: Bracket
+    weight: int
+    flips: int  # parity of vertices whose cyclic order was reversed
+    form: int  # id of the branch as an unordered labelled tree
+
+
+def _trivalent(tree: Bracket) -> tuple[list[int], list[list[int]]]:
+    """Read lk(tree) as an unrooted tree: leaf labels and neighbours.
+
+    Vertex v is a leaf with ``labels[v]`` its component, or an internal
+    vertex (label 0) whose neighbours ``[parent, left, right]`` record
+    the input's cyclic order.  The top split is the edge joining the
+    two top children, so it is no vertex.
+    """
+    labels: list[int] = []
+    nbrs: list[list[int]] = []
+
+    def add(t: Bracket, parent: int) -> int:
+        v = len(labels)
+        labels.append(t if isinstance(t, int) else 0)
+        nbrs.append([parent])
+        if not isinstance(t, int):
+            nbrs[v].append(add(t[0], v))
+            nbrs[v].append(add(t[1], v))
+        return v
+
+    left = add(tree[0], -1)
+    nbrs[left][0] = add(tree[1], left)
+    return labels, nbrs
+
+
+def _join(a: _Side, b: _Side, flip: int, form: int) -> _Side:
+    pa, ia, ua, seqa, shapea = a.key
+    pb, ib, ub, seqb, shapeb = b.key
+    a_leaf, b_leaf = isinstance(a.tree, int), isinstance(b.tree, int)
+    key = (
+        pa + pb + (not a_leaf),
+        ia + ib + (a_leaf and b_leaf and a.tree > b.tree),
+        ua + ub + (not a_leaf and not b_leaf and a.weight < b.weight),
+        seqa + seqb,
+        (1,) + shapea + shapeb,
+    )
+    flips = (a.flips + b.flips + flip) % 2
+    return _Side(key, (a.tree, b.tree), a.weight + b.weight, flips, form)
+
+
+def rerooting_canonicalize(tree: Bracket, sign: int = 1) -> tuple[Bracket, int]:
+    """Canonical minimal linking of lk(tree) and the accumulated sign.
+
+    lk(tree) is read as an unrooted trivalent tree whose internal
+    vertices carry the cyclic order (parent, left, right).  A
+    re-association moves the root edge and keeps every cyclic order; a
+    sub-bracket swap reverses one vertex's order at sign -1.  The class
+    is therefore every choice of root edge, root direction and child
+    order per vertex, and a member's sign is -1 to the number of
+    vertices whose order differs from the input.  Weight 2 has no
+    vertex: lk(x,y) and lk(y,x) are different classes.
+
+    The representative minimizes the top imbalance ||u|-|v||, then the
+    tie-break order of the module docstring.  Its parts decompose over
+    subtrees, so each directed edge keeps the better of its two child
+    orders, and the root is the best of the 2(2n-3) directed edges.
+    The returned sign s satisfies lk(tree) = s * lk(representative).
+    A sign of 0 marks a degenerate class (equivalent to its own
+    negative, hence forced to vanish); this happens exactly when some
+    vertex has two branches that are isomorphic as unordered labelled
+    rooted trees, e.g. the pair (u,u) below the top.
+    """
+    if isinstance(tree, int):
+        raise PreconditionError("a formal linking needs weight > 1")
+    if isinstance(tree[0], int) and isinstance(tree[1], int):
+        return tree, sign
+    labels, nbrs = _trivalent(tree)
+    forms: dict = {}
+    sides: dict[tuple[int, int], _Side] = {}
+
+    def side(p: int, c: int) -> _Side:
+        # the branch at c that hangs away from its neighbour p
+        got = sides.get((p, c))
+        if got is not None:
+            return got
+        if labels[c]:
+            leaf = labels[c]
+            form = forms.setdefault(leaf, len(forms))
+            got = _Side((0, 0, 0, (-leaf,), (0,)), leaf, 1, 0, form)
+        else:
+            # children in the input's cyclic order after p, at flip 0
+            at = nbrs[c].index(p)
+            a = side(c, nbrs[c][(at + 1) % 3])
+            b = side(c, nbrs[c][(at + 2) % 3])
+            pair = (min(a.form, b.form), max(a.form, b.form))
+            form = forms.setdefault(pair, len(forms))
+            got = min(_join(a, b, 0, form), _join(b, a, 1, form), key=lambda o: o.key)
+        sides[(p, c)] = got
+        return got
+
+    best = None
+    for u, around in enumerate(nbrs):
+        for v in around:
+            left, right = side(v, u), side(u, v)
+            key = (
+                abs(left.weight - right.weight),
+                left.weight,
+                left.key[0] + right.key[0],
+                left.key[1] + right.key[1],
+                left.key[2] + right.key[2],
+                left.key[3:],
+                right.key[3:],
+            )
+            if best is None or key < best[0]:
+                best = (key, left, right)
+    _, left, right = best
+    for v, around in enumerate(nbrs):
+        if not labels[v] and len({side(v, n).form for n in around}) < 3:
+            return (left.tree, right.tree), 0
+    return (left.tree, right.tree), sign * (-1) ** (left.flips + right.flips)
 
 
 def all_trees(leaves, symbols):
@@ -312,10 +445,37 @@ class TestCanonicalizeAgainstOrbitSearch:
         assert canonicalize((1, 2), -1) == ((1, 2), -1)
 
 
-@st.composite
-def trees_and_moves(draw):
-    leaves = draw(st.integers(2, 12))
-    symbols = list(range(1, draw(st.integers(1, 4)) + 1))
+class TestCanonicalizeAgainstRerooting:
+    def test_massey_sum_every_small_index(self):
+        # every index of weight <= 8 on two letters and <= 6 on three
+        indices = dict.fromkeys(
+            index
+            for symbols, top in (((1, 2), 8), ((1, 2, 3), 6))
+            for q in range(2, top + 1)
+            for index in product(symbols, repeat=q)
+            if index[0] != index[-1]
+        )
+        assert len(indices) == 254 + 726 - 62  # 62 three-letter ones use two
+        for index in indices:
+            sign = -1 if len(index) % 2 else 1
+            acc = {}
+            for linking in parenthesizations(index[:-1], index[-1]):
+                rep, s = rerooting_canonicalize(linking)
+                if s:
+                    acc[rep] = acc.get(rep, 0) + sign * s
+            assert massey_sum(index) == LinkingExpr.from_dict(acc), index
+
+    def test_shared_table_across_trees(self):
+        # one instance fed trees of mixed weights and alphabets in turn
+        rng = random.Random(17)
+        canon = Canonicalizer()
+        for _ in range(2000):
+            symbols = (1, 2, 3, 4)[: rng.randint(1, 4)]
+            tree = random_tree(rng, rng.randint(2, 10), symbols)
+            assert canon.canonicalize(tree, -1) == rerooting_canonicalize(tree, -1), tree
+
+
+def _draw_bracket(draw, leaves, symbols):
     letters = draw(st.lists(st.sampled_from(symbols), min_size=leaves, max_size=leaves))
 
     def bracket(lo, hi):
@@ -324,7 +484,52 @@ def trees_and_moves(draw):
         split = draw(st.integers(lo + 1, hi - 1))
         return (bracket(lo, split), bracket(split, hi))
 
-    return bracket(0, leaves), draw(st.lists(st.integers(0, 10**6), max_size=40))
+    return bracket(0, leaves)
+
+
+def _replace_leaf(tree, k, new):
+    """tree with its k-th leaf from the left (0-based) replaced by new."""
+    if isinstance(tree, int):
+        return new
+    w = weight(tree[0])
+    if k < w:
+        return (_replace_leaf(tree[0], k, new), tree[1])
+    return (tree[0], _replace_leaf(tree[1], k - w, new))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A linking of weight 2-12 over up to four letters, and whether an
+    identical pair (s,s) was grafted below its top (a degenerate class)."""
+    symbols = list(range(1, draw(st.integers(1, 4)) + 1))
+    if draw(st.booleans()):
+        return _draw_bracket(draw, draw(st.integers(2, 12)), symbols), False
+    base_leaves = draw(st.integers(2, 10))
+    s = _draw_bracket(draw, draw(st.integers(1, (13 - base_leaves) // 2)), symbols)
+    base = _draw_bracket(draw, base_leaves, symbols)
+    return _replace_leaf(base, draw(st.integers(0, base_leaves - 1)), (s, s)), True
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(oracle_cases())
+@example((((1, 2), (3, 4)), False))
+@example((((3, 1), ((2, 4), (1, 2))), False))
+@example(((((1, 1), 2), (3, 4)), True))
+@example(((((1, 2), (1, 2)), ((2, 3), 4)), True))
+def test_canonicalize_matches_rerooting_oracle(case):
+    tree, grafted = case
+    got = canonicalize(tree)
+    assert got == rerooting_canonicalize(tree)
+    if grafted:
+        assert got[1] == 0
+
+
+@st.composite
+def trees_and_moves(draw):
+    leaves = draw(st.integers(2, 12))
+    symbols = list(range(1, draw(st.integers(1, 4)) + 1))
+    tree = _draw_bracket(draw, leaves, symbols)
+    return tree, draw(st.lists(st.integers(0, 10**6), max_size=40))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -446,6 +651,21 @@ class TestEvaluate:
             evaluate(expr, [1, 2])
         with pytest.raises(ParseError, match="integer"):
             evaluate(expr, {"lk(xy,xy)": "lots"})
+
+    def test_values_must_be_integers(self):
+        expr = massey_sum((1, 2))
+        for bad in (1.5, True, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ParseError, match="is not an integer"):
+                evaluate(expr, {"lk(x,y)": bad})
+        assert evaluate(expr, {"lk(x,y)": 2.0}) == 2
+        assert evaluate(expr, {"lk(x,y)": "3"}) == 3
+
+    def test_degenerate_key_value_checked(self):
+        # lk(xy,y) is degenerate, so its value is unused but still checked
+        expr = massey_sum((1, 2, 2))
+        assert evaluate(expr, {"lk(xy,y)": 4}) == 0
+        with pytest.raises(ParseError, match="is not an integer"):
+            evaluate(expr, {"lk(xy,y)": "a"})
 
     def test_coefficient_lookup(self):
         expr = massey_sum((1, 1, 2, 2))

@@ -176,6 +176,21 @@ class TestMasseyVerb:
         assert out == ""
         assert "parse error" in err
 
+    @pytest.mark.parametrize("text", ["1.5", "true", "1e400"], ids=["fraction", "bool", "overflow"])
+    def test_values_not_integers_exit_2(self, tmp_path, capsys, text):
+        values = tmp_path / "values.json"
+        values.write_text('{"lk(x,y)": %s}' % text)
+        code, out, err = run(capsys, "massey-sum", "--index", "12", "--values", str(values))
+        assert (code, out) == (2, "")
+        assert err.startswith("mubar: parse error: linking value for lk(x,y) is not an integer: ")
+
+    def test_bad_value_on_degenerate_key_exit_2(self, tmp_path, capsys):
+        values = tmp_path / "values.json"
+        values.write_text(json.dumps({"lk(xy,y)": "a"}))
+        code, out, err = run(capsys, "massey-sum", "--index", "122", "--values", str(values))
+        assert (code, out) == (2, "")
+        assert err == "mubar: parse error: linking value for lk(xy,y) is not an integer: 'a'\n"
+
 
 class TestLcqVerb:
     def test_plain(self, corpus_dir, capsys):
