@@ -107,10 +107,10 @@ def parse_bracket(text: str) -> Bracket:
     items, pos = _parse_seq(text, 0)
     if pos != len(text):
         raise ParseError(f"unexpected {text[pos]!r} at position {pos}")
-    return _fold(items, text, 0)
+    return _fold(items, 0)
 
 
-def _fold(items: list, text: str, pos: int) -> Bracket:
+def _fold(items: list, pos: int) -> Bracket:
     if not items:
         raise ParseError(f"empty bracket expression at position {pos}")
     out = items[-1]
@@ -131,7 +131,7 @@ def _parse_seq(text: str, pos: int) -> tuple[list, int]:
             right, pos = _parse_seq(text, pos + 1)
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError(f"expected ')' at position {pos}")
-            items.append((_fold(left, text, start), _fold(right, text, start)))
+            items.append((_fold(left, start), _fold(right, start)))
             pos += 1
         elif ch in (",", ")"):
             return items, pos
@@ -248,8 +248,8 @@ class Canonicalizer:
             self.sides[t] = got
         return got
 
-    def canonicalize(self, tree: Bracket, sign: int = 1) -> tuple[Bracket, int]:
-        """Canonical minimal linking of lk(tree) and the accumulated sign.
+    def canonicalize(self, tree: Bracket) -> tuple[Bracket, int]:
+        """Canonical minimal linking of lk(tree) and its sign.
 
         lk(tree) is read as an unrooted trivalent tree whose internal
         vertices carry the cyclic order (parent, left, right).  A
@@ -279,7 +279,7 @@ class Canonicalizer:
         if isinstance(tree, int):
             raise PreconditionError("a formal linking needs weight > 1")
         if isinstance(tree[0], int) and isinstance(tree[1], int):
-            return tree, sign
+            return tree, 1
         # Vertices in preorder of tree[0], then of tree[1]; the two top
         # vertices are each other's parent.  down[v] is v's downward
         # branch and above[v] the form of the branch at parent[v] that
@@ -337,15 +337,15 @@ class Canonicalizer:
         _, left, right = best
         if degenerate:
             return (left.tree, right.tree), 0
-        return (left.tree, right.tree), sign * (-1) ** (left.flips + right.flips)
+        return (left.tree, right.tree), (-1) ** (left.flips + right.flips)
 
 
-def canonicalize(tree: Bracket, sign: int = 1) -> tuple[Bracket, int]:
-    """Canonical minimal linking of lk(tree) and the accumulated sign.
+def canonicalize(tree: Bracket) -> tuple[Bracket, int]:
+    """Canonical minimal linking of lk(tree) and its sign.
 
     A one-shot Canonicalizer; see Canonicalizer.canonicalize.
     """
-    return Canonicalizer().canonicalize(tree, sign)
+    return Canonicalizer().canonicalize(tree)
 
 
 def parenthesizations(letters: Index, last: int) -> list[Bracket]:

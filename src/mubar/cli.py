@@ -33,7 +33,7 @@ from .milnor import (
     mu_bar,
     parse_index,
 )
-from .mutation import find_detector, mutant_mu
+from .mutation import MUTATION_TYPES, find_detector, mutant_mu
 from .surgery import lcq_is_free, mutative_pair_report
 from .words import parse_word
 
@@ -266,14 +266,14 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--index", required=True)
-    p.add_argument("--type", choices=("F", "R", "FR"))
+    p.add_argument("--type", choices=MUTATION_TYPES)
     p.add_argument("--depth", type=int)
     p.set_defaults(func=cmd_mutate_report)
 
     p = sub.add_parser("find-detector", help="indices with mu(I) != mu(I^tau)")
     p.add_argument("--alpha", required=True)
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--type", choices=("F", "R", "FR"), required=True)
+    p.add_argument("--type", choices=MUTATION_TYPES, required=True)
     p.add_argument("--depth", type=int)
     p.set_defaults(func=cmd_find_detector)
 
@@ -286,7 +286,7 @@ def build_parser() -> _Parser:
     p.add_argument("--link")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--mutant-of", dest="mutant_of", help="alpha file for the mutative pair")
-    p.add_argument("--type", choices=("F", "R", "FR"))
+    p.add_argument("--type", choices=MUTATION_TYPES)
     p.add_argument("--depth", type=int)
     p.set_defaults(func=cmd_lcq)
 

@@ -20,7 +20,9 @@ The Wirtinger relation attached to a crossing of sign ``s`` is
     m(c) = u^-s  m(a)  u^s        (u = meridian of the over-strand)
 
 and the longitude of a component is the ordered product of u^s over its
-under-passages, times x_i^-writhe for the 0-framing.
+under-passages, times x_i^-e for the 0-framing, with e its x_i exponent
+sum (the component's self-writhe).  The Artin route frames by the same
+exponent-sum rule.
 
 JSON: ``{"m": .., "components": [[arc, ..], ..],
 "crossings": [{"arcs": [a,b,c,d], "sign": +-1}, ..]}``.
@@ -190,14 +192,11 @@ def linking_matrix(pd: PDCode) -> list[list[int]]:
     return mat
 
 
-def _writhes(pd: PDCode) -> list[int]:
-    w = [0] * pd.m
-    for x in pd.crossings:
-        cu = pd.component_of(x.under_in)
-        co = pd.component_of(next(iter(x.over_pair)))
-        if cu == co:
-            w[cu - 1] += x.sign
-    return w
+def _zero_framed(w: Word, i: int) -> Word:
+    # w times x_i^-e, e the x_i exponent sum of w: the 0-framing of an
+    # unframed i-th longitude.  On a PD walk e is the self-writhe, since
+    # u^s adds s to it exactly when the over-strand is component i.
+    return w * generator(i) ** (-w.exponent_sum(i))
 
 
 def _running_products(pd: PDCode, walk, exprs: dict[int, Word]) -> list[Word]:
@@ -222,7 +221,8 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
     A round walks each component from its base arc and sets the t-th
     arc to w^-1 x_i w, with w the product of u^s over the first t
     under-passages in the previous round's expressions.  The longitude
-    is the whole walk's product times x_i^-writhe (the 0-framing).
+    is the whole walk's product times x_i^-e, e its x_i exponent sum
+    (the self-writhe; this is the 0-framing).
 
     Why q - 2 rounds suffice: after r rounds every arc expression is
     right mod F_(r+2).  For r = 0, w^-1 x_i w = x_i mod F_2.  A round
@@ -248,8 +248,8 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
         }
         check_work_budget(sum(map(len, exprs.values())), pd.m, q)
     longs = tuple(
-        _running_products(pd, walk, exprs)[-1] * generator(i) ** (-writhe)
-        for i, (walk, writhe) in enumerate(zip(walks, _writhes(pd)), start=1)
+        _zero_framed(_running_products(pd, walk, exprs)[-1], i)
+        for i, walk in enumerate(walks, start=1)
     )
     try:
         return LongitudeSystem(pd.m, q, longs)
@@ -342,39 +342,32 @@ def _sigmas(i: int, j: int, e: int) -> list[tuple[int, int]]:
     return seq
 
 
-def _artin_automorphism(b: PureBraidWord) -> dict[int, Word]:
+def _artin_conjugators(b: PureBraidWord) -> dict[int, Word]:
+    # W_t with x_t -> W_t x_t W_t^-1 under the braid's Artin action.
     # A_ij^e, with c = x_i x_j and d = x_j x_i, conjugates x_i and x_j by
     # c^e and every x_r with i < r < j by c^e d^-e (x -> g x g^-1), and
-    # fixes the rest.  Each letter's step is substituted into the long
-    # images, which can grow exponentially in braid length, so their
-    # total length is held to LETTER_BUDGET after every letter.
+    # fixes the rest, so it sends W_t to step(W_t) g_t.  Trailing x_t
+    # letters commute with x_t and are dropped; then the reduced image
+    # has 2 len(W_t) + 1 letters, which can grow exponentially in braid
+    # length, so its total is held to LETTER_BUDGET after every letter.
     n = b.strands
-    images = {i: generator(i) for i in range(1, n + 1)}
+    conj = {t: identity() for t in range(1, n + 1)}
     for i, j, e in b.letters:
         c = (generator(i) * generator(j)) ** e
         d = (generator(j) * generator(i)) ** e
         step = {t: generator(t) for t in range(1, n + 1)}
+        g = {}
         for r in range(i, j + 1):
-            g = c if r in (i, j) else c * d.inverse()
-            step[r] = g * generator(r) * g.inverse()
-        images = {t: substitute(w, step) for t, w in images.items()}
-        check_letter_budget(sum(map(len, images.values())))
-    return images
-
-
-def _conjugator(image: Word, i: int) -> Word:
-    letters = image.letters
-    t = len(letters) // 2
-    w = Word(letters[:t])
-    if (
-        len(letters) % 2 != 1
-        or letters[t] != (i, 1)
-        or w * generator(i) * w.inverse() != image
-    ):
-        raise PreconditionError(
-            f"braid is not pure: x{i} maps to {image}, not a conjugate of x{i}"
-        )
-    return w
+            g[r] = c if r in (i, j) else c * d.inverse()
+            step[r] = g[r] * generator(r) * g[r].inverse()
+        for t, w in conj.items():
+            letters = (substitute(w, step) * g.get(t, identity())).letters
+            k = len(letters)
+            while k and letters[k - 1][0] == t:
+                k -= 1
+            conj[t] = Word(letters[:k])
+        check_letter_budget(sum(2 * len(w) + 1 for w in conj.values()))
+    return conj
 
 
 def artin_longitudes(b: PureBraidWord, q: int) -> LongitudeSystem:
@@ -386,12 +379,10 @@ def artin_longitudes(b: PureBraidWord, q: int) -> LongitudeSystem:
     if q < 2:
         raise PreconditionError("depth must be at least 2")
     check_term_budget(b.strands, q)
-    images = _artin_automorphism(b)
-    longs = []
-    for i in range(1, b.strands + 1):
-        w = _conjugator(images[i], i)
-        longs.append(w * generator(i) ** (-w.exponent_sum(i)))
-    return LongitudeSystem(b.strands, q, tuple(longs))
+    conj = _artin_conjugators(b)
+    return LongitudeSystem(
+        b.strands, q, tuple(_zero_framed(conj[i], i) for i in conj)
+    )
 
 
 def braid_closure_pd(b: PureBraidWord) -> PDCode:

@@ -442,7 +442,7 @@ class TestCanonicalizeAgainstOrbitSearch:
 
     def test_weight_two_is_its_own_class(self):
         assert canonicalize((2, 1)) == ((2, 1), 1)
-        assert canonicalize((1, 2), -1) == ((1, 2), -1)
+        assert canonicalize((1, 2)) == ((1, 2), 1)
 
 
 class TestCanonicalizeAgainstRerooting:
@@ -472,7 +472,7 @@ class TestCanonicalizeAgainstRerooting:
         for _ in range(2000):
             symbols = (1, 2, 3, 4)[: rng.randint(1, 4)]
             tree = random_tree(rng, rng.randint(2, 10), symbols)
-            assert canon.canonicalize(tree, -1) == rerooting_canonicalize(tree, -1), tree
+            assert canon.canonicalize(tree) == rerooting_canonicalize(tree), tree
 
 
 def _draw_bracket(draw, leaves, symbols):

@@ -20,10 +20,9 @@ from mubar.links import (
     Crossing,
     PDCode,
     PureBraidWord,
-    _artin_automorphism,
+    _artin_conjugators,
     _sigmas,
     _trace,
-    _writhes,
     artin_longitudes,
     braid_closure_pd,
     connected_sum,
@@ -133,7 +132,34 @@ def relabel_oracle(a: LongitudeSystem, comps, flip) -> LongitudeSystem:
 
 
 # Oracles: the word pipelines that the q - 2 round rewriting and the
-# closed-form pure braid step replaced, verbatim apart from their names.
+# closed-form pure braid step replaced, verbatim apart from their names,
+# and the crossing scan and image split that framed them before the
+# exponent-sum rule, verbatim.
+
+
+def _writhes(pd: PDCode) -> list[int]:
+    w = [0] * pd.m
+    for x in pd.crossings:
+        cu = pd.component_of(x.under_in)
+        co = pd.component_of(next(iter(x.over_pair)))
+        if cu == co:
+            w[cu - 1] += x.sign
+    return w
+
+
+def _conjugator(image: Word, i: int) -> Word:
+    letters = image.letters
+    t = len(letters) // 2
+    w = Word(letters[:t])
+    if (
+        len(letters) % 2 != 1
+        or letters[t] != (i, 1)
+        or w * generator(i) * w.inverse() != image
+    ):
+        raise PreconditionError(
+            f"braid is not pure: x{i} maps to {image}, not a conjugate of x{i}"
+        )
+    return w
 
 
 def longitudes_mod_q_oracle(pd: PDCode, q: int) -> LongitudeSystem:
@@ -218,6 +244,23 @@ def artin_automorphism_oracle(b: PureBraidWord) -> dict[int, Word]:
         images = _compose_oracle(step, images)
         check_letter_budget(sum(map(len, images.values())))
     return images
+
+
+def artin_longitudes_oracle(b: PureBraidWord, q: int) -> LongitudeSystem:
+    """Longitudes of the closure of a pure braid via the Artin action.
+
+    For a pure braid each x_i maps to w_i x_i w_i^-1; the i-th 0-framed
+    longitude is w_i x_i^-e with e the x_i exponent sum of w_i.
+    """
+    if q < 2:
+        raise PreconditionError("depth must be at least 2")
+    check_term_budget(b.strands, q)
+    images = artin_automorphism_oracle(b)
+    longs = []
+    for i in range(1, b.strands + 1):
+        w = _conjugator(images[i], i)
+        longs.append(w * generator(i) ** (-w.exponent_sum(i)))
+    return LongitudeSystem(b.strands, q, tuple(longs))
 
 
 @st.composite
@@ -395,6 +438,11 @@ class TestArtin:
 
 
 KINK = PDCode(1, ((1, 2),), (Crossing((1, 2, 2, 1), 1),))
+TREFOIL = PDCode(
+    1,
+    ((1, 2, 3, 4, 5, 6),),
+    (Crossing((1, 5, 2, 4), 1), Crossing((3, 1, 4, 6), 1), Crossing((5, 3, 6, 2), 1)),
+)
 
 
 def _short_braid_closures():
@@ -421,6 +469,8 @@ class TestLongitudesAgainstOracle:
             pytest.param(borromean_pd(), id="borromean"),
             pytest.param(mirror_pd(borromean_pd()), id="borromean_mirror"),
             pytest.param(KINK, id="kink"),
+            pytest.param(TREFOIL, id="trefoil"),
+            pytest.param(mirror_pd(TREFOIL), id="trefoil_mirror"),
         ]
         + _short_braid_closures(),
     )
@@ -448,20 +498,44 @@ class TestLongitudesAgainstOracle:
         assert sum(map(len, system.longitudes)) == 41_412
 
 
+def assert_conjugators_match_oracle(braid: PureBraidWord) -> None:
+    conj = _artin_conjugators(braid)
+    images = {t: w * generator(t) * w.inverse() for t, w in conj.items()}
+    assert images == artin_automorphism_oracle(braid)
+    for t, w in conj.items():
+        assert len(images[t]) == 2 * len(w) + 1
+
+
 class TestArtinAgainstOracle:
     def test_every_generator_step(self):
         for n in range(2, 8):
             for i, j in combinations(range(1, n + 1), 2):
                 for e in (1, -1):
-                    braid = PureBraidWord(n, ((i, j, e),))
-                    assert _artin_automorphism(braid) == artin_automorphism_oracle(
-                        braid
-                    )
+                    assert_conjugators_match_oracle(PureBraidWord(n, ((i, j, e),)))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(pure_braids(max_strands=5, max_letters=6))
     def test_random_braids(self, braid):
-        assert _artin_automorphism(braid) == artin_automorphism_oracle(braid)
+        assert_conjugators_match_oracle(braid)
+
+    def test_longitudes_and_refusals_on_random_braids(self):
+        # 200 random 8-letter P_4 braids; one of them exceeds LETTER_BUDGET
+        # midway, and the refusal must name the same letter count.
+        rng = random.Random(3)
+        refusals = {}
+        for _ in range(200):
+            braid = random_pure_braid(rng, 4, 8)
+            try:
+                expected = artin_longitudes_oracle(braid, 4)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as got:
+                    artin_longitudes(braid, 4)
+                assert str(got.value) == str(exc)
+                refusals[format_braid(braid)] = str(exc)
+                continue
+            assert artin_longitudes(braid, 4) == expected
+        found = "4; A14 A13^-1 A24^-1 A13 A24^-1 A34^-1 A13^-1 A14"
+        assert "expands to 104694 letters" in refusals[found]
 
 
 class TestPDAgainstArtin:
