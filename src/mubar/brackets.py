@@ -43,11 +43,11 @@ at weight 12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, strict_int
 from .milnor import Index, format_index
+from .records import frozen_record
 
 LETTERS = "xyzwvutsrqpo"
 
@@ -371,7 +371,7 @@ def parenthesizations(letters: Index, last: int) -> list[Bracket]:
     return [(w, last) for w in trees(0, len(seq))]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class LinkingExpr:
     """Integer combination of canonical minimal linkings."""
 
@@ -436,19 +436,6 @@ def evaluate(expr: LinkingExpr, values: dict) -> int:
     return total
 
 
-def _integer_value(tree: Bracket, val) -> int:
-    # int() would truncate 1.5, read true as 1 and overflow on 1e400
-    # (inf), so only integral finite numbers and integer strings pass.
-    if not isinstance(val, bool) and not (isinstance(val, float) and not val.is_integer()):
-        try:
-            return int(val)
-        except (TypeError, ValueError):
-            pass
-    raise ParseError(
-        f"linking value for {render_linking(tree)} is not an integer: {val!r}"
-    )
-
-
 def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
     """Evaluation plus the display forms of terms that defaulted to 0.
 
@@ -471,7 +458,7 @@ def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
                 f"cap WEIGHT_CAP = {WEIGHT_CAP}"
             )
         tree = parse_linking(key) if isinstance(key, str) else key
-        value = _integer_value(tree, val)
+        value = strict_int(val, f"linking value for {render_linking(tree)}")
         rep, s = canonicalize(tree)
         if s == 0:
             continue

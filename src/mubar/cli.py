@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import corpus
 from .brackets import evaluate_detailed, massey_sum
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, strict_int
 from .links import artin_longitudes, load_pd, longitudes_mod_q, parse_braid
 from .milnor import (
     LongitudeSystem,
@@ -69,8 +69,8 @@ def load_system(path: str, depth: int) -> LongitudeSystem:
                 raise ParseError(f"{path}: longitudes must be a list of words")
             try:
                 system = LongitudeSystem(
-                    m=int(data["m"]),
-                    depth=int(data["depth"]),
+                    m=strict_int(data["m"], f"{path}: m"),
+                    depth=strict_int(data["depth"], f"{path}: depth"),
                     longitudes=tuple(parse_word(w) for w in words),
                 )
             except (KeyError, TypeError, ValueError) as exc:

@@ -34,15 +34,15 @@ two-digit strand numbers) the standard pure braid generators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, strict_int
 from .magnus import check_term_budget, check_work_budget
 from .milnor import LongitudeSystem
+from .records import frozen_record
 from .words import Word, check_letter_budget, generator, identity, substitute
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Crossing:
     arcs: tuple[int, int, int, int]
     sign: int
@@ -66,7 +66,7 @@ class Crossing:
         return frozenset((self.arcs[1], self.arcs[3]))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PDCode:
     m: int
     components: tuple[tuple[int, ...], ...]
@@ -109,12 +109,18 @@ class PDCode:
 def load_pd(data: dict) -> PDCode:
     try:
         crossings = tuple(
-            Crossing(tuple(entry["arcs"]), int(entry["sign"]))
-            for entry in data["crossings"]
+            Crossing(
+                tuple(strict_int(a, f"arc of crossing {k}") for a in entry["arcs"]),
+                strict_int(entry["sign"], f"sign of crossing {k}"),
+            )
+            for k, entry in enumerate(data["crossings"])
         )
         return PDCode(
-            m=int(data["m"]),
-            components=tuple(tuple(int(a) for a in comp) for comp in data["components"]),
+            m=strict_int(data["m"], "m"),
+            components=tuple(
+                tuple(strict_int(a, f"arc of component {i}") for a in comp)
+                for i, comp in enumerate(data["components"], start=1)
+            ),
             crossings=crossings,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -277,7 +283,7 @@ def mirror_pd(pd: PDCode) -> PDCode:
 # Pure braids
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PureBraidWord:
     strands: int
     letters: tuple[tuple[int, int, int], ...]  # (i, j, exponent sign)

@@ -15,17 +15,17 @@ An index of weight w is meaningful only when w <= depth - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import ParseError, PreconditionError
 from .magnus import NCSeries, check_term_budget, magnus_expand
+from .records import frozen_record
 from .words import Word, format_word
 
 Index = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class LongitudeSystem:
     """0-framed longitude words of an m-component link, valid mod F_depth."""
 
@@ -87,7 +87,7 @@ class LongitudeSystem:
         }
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MuValue:
     """mu with its indeterminacy; residue is normalized to [0, delta)."""
 

@@ -19,7 +19,6 @@ structural operations of :mod:`mubar.links`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import PreconditionError
@@ -36,6 +35,7 @@ from .milnor import (
     residue_of,
     validate_index,
 )
+from .records import frozen_record
 from .words import generator
 
 MUTATION_TYPES = ("F", "R", "FR")
@@ -67,7 +67,7 @@ def apply_mutation(system: LongitudeSystem, tau: str) -> LongitudeSystem:
     )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MutantReport:
     """One congruence instance mu_alpha(I) + mu_beta(I^tau) mod D^tau(I)."""
 

@@ -15,8 +15,6 @@ have different q-th lower central quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .brackets import evaluate_detailed, massey_sum
 from .corpus import STAR_LINKING_VALUES
 from .errors import PreconditionError
@@ -29,9 +27,10 @@ from .milnor import (
     format_index,
 )
 from .mutation import MutantReport, mutant, witnessed_mutant
+from .records import frozen_record
 
 
-@dataclass(frozen=True)
+@frozen_record
 class LcqReport:
     """Outcome of the free-nilpotence test for one system and depth."""
 
@@ -85,7 +84,7 @@ def lcq_is_free(system: LongitudeSystem, q: int) -> LcqReport:
     return LcqReport(q, route_a, witness, witness_relator)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MutativePairReport:
     """A ribbon sum and a bi-mutant with different lower central quotients."""
 
@@ -95,7 +94,7 @@ class MutativePairReport:
     detectors: tuple[Index, ...] = ()
     ribbon_sum: LcqReport | None = None
     mutant: LcqReport | None = None
-    witnesses: tuple[MutantReport, ...] = field(default=())
+    witnesses: tuple[MutantReport, ...] = ()
 
     def to_json(self) -> dict:
         return {

@@ -17,9 +17,9 @@ General exponents ``xK^E`` are accepted on input as a convenience.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError
+from .records import frozen_record
 
 Letter = tuple[int, int]
 
@@ -52,14 +52,26 @@ def _reduce(raw) -> tuple[Letter, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Word:
     """A freely reduced word; the empty tuple is the identity."""
 
     letters: tuple[Letter, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _reduce(self.letters))
+    # Words are built in every hot loop, so these three are written out
+    # rather than taken from frozen_record's generic versions.  Touching
+    # self.__dict__ would give every word a dict of its own (64 more
+    # bytes each on CPython 3.11), so the field is set through object.
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "letters", _reduce(letters))
+
+    def __eq__(self, other):
+        if other.__class__ is Word:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)

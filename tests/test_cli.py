@@ -272,6 +272,35 @@ class TestErrorsAndFormats:
         assert out == ""
         assert "parse error" in err
 
+    @pytest.mark.parametrize("text", ["1.5", "true", "1e400"], ids=["fraction", "bool", "overflow"])
+    @pytest.mark.parametrize(
+        "is_pd, place, what",
+        [
+            (False, ("m",), "{path}: m"),
+            (False, ("depth",), "{path}: depth"),
+            (True, ("m",), "malformed PD code: m"),
+            (True, ("crossings", 0, "sign"), "malformed PD code: sign of crossing 0"),
+            (True, ("components", 0, 1), "malformed PD code: arc of component 1"),
+            (True, ("crossings", 1, "arcs", 2), "malformed PD code: arc of crossing 1"),
+        ],
+        ids=["system-m", "system-depth", "pd-m", "pd-sign", "pd-component-arc", "pd-crossing-arc"],
+    )
+    def test_link_file_integers_are_strict_exit_2(
+        self, tmp_path, capsys, is_pd, place, what, text
+    ):
+        # int() would read 1.5 as 1 and true as 1, and a crossing arc
+        # true used to match arc 1 without any conversion
+        data = hopf_pd().to_json() if is_pd else {"m": 2, "depth": 3, "longitudes": ["x2", "x1"]}
+        target = data
+        for key in place[:-1]:
+            target = target[key]
+        target[place[-1]] = "@"
+        path = tmp_path / "link.json"
+        path.write_text(json.dumps(data).replace('"@"', text))
+        code, out, err = run(capsys, "mu", "--link", str(path), "--index", "12")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"mubar: parse error: {what.format(path=path)} is not an integer: ")
+
     @pytest.mark.parametrize(
         "name, text",
         [
