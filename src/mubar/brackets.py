@@ -20,9 +20,10 @@ the antisymmetry (AS) relation of Habegger-Masbaum ("The Kontsevich
 integral and Milnor's invariants", Topology 2000).  So canonicalize()
 re-roots the tree at each of its 2(2n-3) directed edges, keeping the
 best child order per branch, in O(n^2) time.  A Canonicalizer keeps
-the downward branches it has built, keyed by sub-bracket; massey_sum()
-shares one across its bracketings, and it is dropped when the call
-returns, so no table outlives a call.
+the downward branches it has built, keyed by sub-bracket, and numbers
+branches by form (unordered labelled rooted tree); massey_sum() and
+evaluate_detailed() each share one across a call, and it is dropped
+when the call returns, so no table outlives a call.
 
 Among equally balanced splits the representative has the smaller side
 on the left, then the most string-like rendering (fewest parentheses),
@@ -34,16 +35,18 @@ does.
 massey_sum() expands a mu-bar invariant of weight q as the signed sum
 of lk(w, x_{i_q}) over all binary parenthesizations w of the first
 q-1 letters, collected as an integer combination of canonical minimal
-linkings; evaluate() substitutes numeric values for them.
+linkings; evaluate() substitutes numeric values for them.  It does not
+list the parenthesizations: an interval DP counts them by form, with
+signs, and canonicalizes one tree per surviving form.
 
-The enumeration grows like the Catalan numbers, so the weight is capped
-at 12 (WEIGHT_CAP): massey_sum takes about 0.1 s at weight 10 and 1.5 s
-at weight 12.
+Where letters repeat, many bracketings share a form: massey_sum takes
+about 0.003 s at weight 10 (1212121212) and 0.02 s at weight 12
+(121212121212).  On distinct letters no two do, so the count stays
+Catalan(q-2) and weight 12 still takes about 1.5 s; the weight is
+therefore capped at 12 (WEIGHT_CAP).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError, strict_int
 from .milnor import Index, format_index
@@ -174,17 +177,26 @@ def parse_linking(text: str) -> Bracket:
 # Canonical representatives by re-rooting the linking tree
 
 
-class _Side(NamedTuple):
-    """Best orientation of one branch of the linking tree."""
+class _Side:
+    """Best orientation of one branch of the linking tree.
 
-    # (parenthesis pairs, inverted leaf pairs, inner pairs with the
-    # smaller side first, leaf sequence with later components first,
-    # shape in preorder) -- the per-side parts of the selection order.
-    key: tuple
-    tree: Bracket
-    weight: int
-    flips: int  # parity of vertices whose cyclic order was reversed
-    form: int  # id of the branch as an unordered labelled tree
+    ``key`` is (parenthesis pairs, inverted leaf pairs, inner pairs with
+    the smaller side first, leaf sequence with later components first,
+    shape in preorder) -- the per-side parts of the selection order.
+    ``flips`` is the parity of vertices whose cyclic order was reversed,
+    and ``form`` the id of the branch as an unordered labelled tree.
+    """
+
+    __slots__ = ("key", "tree", "weight", "flips", "form")
+
+    def __init__(
+        self, key: tuple, tree: Bracket, weight: int, flips: int, form: int
+    ) -> None:
+        self.key = key
+        self.tree = tree
+        self.weight = weight
+        self.flips = flips
+        self.form = form
 
 
 def _join(a: _Side, b: _Side, flip: int, form: int) -> _Side:
@@ -224,8 +236,9 @@ class Canonicalizer:
     leaf by its component, a pair by its two forms), and ``sides`` holds
     the best orientation of each downward branch, keyed by sub-bracket.
     Both depend only on the branch, so one instance serves any number of
-    trees: massey_sum() makes one per call, and the bracketings it feeds
-    in share most of their sub-brackets.  Nothing outlives the instance.
+    trees: massey_sum() makes one per call, for its interval DP over
+    forms and for the trees it canonicalizes, which share most of their
+    sub-brackets.  Nothing outlives the instance.
     """
 
     def __init__(self) -> None:
@@ -401,7 +414,9 @@ def massey_sum(index) -> LinkingExpr:
 
     The sum runs over all binary parenthesizations w of x_{i_1} ...
     x_{i_{q-1}}; terms whose class is degenerate drop out.  Requires
-    i_1 != i_q and weight at most 12.
+    i_1 != i_q and weight at most 12.  Bracketings of one form are
+    summed before any is canonicalized; tests/test_brackets.py keeps
+    the one-at-a-time sum as massey_sum_oracle.
     """
     entries = tuple(int(i) for i in index)
     if len(entries) < 2:
@@ -421,13 +436,44 @@ def massey_sum(index) -> LinkingExpr:
         )
     sign = -1 if len(entries) % 2 else 1
     canon = Canonicalizer()
-    acc: dict[Bracket, int] = {}
-    for linking in parenthesizations(entries[:-1], entries[-1]):
-        rep, s = canon.canonicalize(linking)
-        if s == 0:
-            continue
-        acc[rep] = acc.get(rep, 0) + sign * s
-    return LinkingExpr.from_dict(acc)
+    # Interval DP over forms.  sums[i, j] maps the form of each
+    # bracketing w of letters i..j-1 to the signed count of those w,
+    # each signed against its form's representative rep[form], which is
+    # (rep of the smaller form, rep of the larger).  A w with no vertex
+    # whose children share a form has no automorphism, so one set of
+    # child swaps takes it to the representative and the sign is
+    # defined; a w with such a vertex is degenerate and drops out.
+    seq = entries[:-1]
+    rep: dict[int, Bracket] = {}
+    sums: dict[tuple[int, int], dict[int, int]] = {}
+    for i, leaf in enumerate(seq):
+        form = canon.side(leaf).form
+        rep[form] = leaf
+        sums[i, i + 1] = {form: 1}
+    for span in range(2, len(seq) + 1):
+        for i in range(len(seq) - span + 1):
+            j = i + span
+            acc: dict[int, int] = {}
+            for k in range(i + 1, j):
+                right = sums[k, j].items()
+                for fa, ca in sums[i, k].items():
+                    for fb, cb in right:
+                        if fa == fb:
+                            continue
+                        form = canon._form(fa, fb)
+                        if fa < fb:
+                            acc[form] = acc.get(form, 0) + ca * cb
+                            rep.setdefault(form, (rep[fa], rep[fb]))
+                        else:
+                            acc[form] = acc.get(form, 0) - ca * cb
+                            rep.setdefault(form, (rep[fb], rep[fa]))
+            sums[i, j] = {form: c for form, c in acc.items() if c}
+    terms: dict[Bracket, int] = {}
+    for form, count in sums[0, len(seq)].items():
+        linking, s = canon.canonicalize((rep[form], entries[-1]))
+        if s:
+            terms[linking] = terms.get(linking, 0) + sign * s * count
+    return LinkingExpr.from_dict(terms)
 
 
 def evaluate(expr: LinkingExpr, values: dict) -> int:
@@ -440,10 +486,12 @@ def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
     """Evaluation plus the display forms of terms that defaulted to 0.
 
     Keys of values may be ``lk(u,v)`` strings in any equivalent form or
-    bracket trees; each is canonicalized (with its sign) before lookup.
+    bracket trees; each is canonicalized (with its sign) before lookup,
+    all through one Canonicalizer.
     """
     if not isinstance(values, dict):
         raise ParseError("linking values must be a mapping lk(u,v) -> integer")
+    canon = Canonicalizer()
     canon_values: dict[Bracket, int] = {}
     for key, val in values.items():
         # No massey_sum term is heavier than the cap, and the parser and
@@ -459,7 +507,7 @@ def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
             )
         tree = parse_linking(key) if isinstance(key, str) else key
         value = strict_int(val, f"linking value for {render_linking(tree)}")
-        rep, s = canonicalize(tree)
+        rep, s = canon.canonicalize(tree)
         if s == 0:
             continue
         effective = s * value

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import corpus
 from .brackets import evaluate_detailed, massey_sum
@@ -50,9 +49,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read_text(path: str) -> str:
+    """The text of a file, read and reported as pathlib.Path would.
+
+    pathlib costs start-up time, so only a failed open falls back to it:
+    it opens the normalized path ("./a" as "a", "a/" as "a", "" as "."),
+    and its outcome and error message name that path.
+    """
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError:
+        from pathlib import Path
+
+        return Path(path).read_text()
+
+
 def load_system(path: str, depth: int) -> LongitudeSystem:
     """Read a longitude system from any of the three input formats."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     stripped = text.lstrip()
     if not stripped:
         raise ParseError(f"{path}: empty input")
@@ -170,7 +185,7 @@ def cmd_massey_sum(args) -> dict:
     }
     if args.values is not None:
         try:
-            values = json.loads(Path(args.values).read_text())
+            values = json.loads(_read_text(args.values))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.values}: {exc}") from exc
         total, missing = evaluate_detailed(expr, values)

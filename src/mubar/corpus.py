@@ -18,7 +18,6 @@ on them.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from random import Random
 
 from .links import (
@@ -179,6 +178,10 @@ def corpus_files() -> dict[str, str]:
 
 def corpus_install(directory) -> list[str]:
     """Write the bundled corpus; idempotent (same bytes every time)."""
+    # imported here, not at start-up: only this verb writes files, and
+    # its output lists the paths as pathlib normalizes them
+    from pathlib import Path
+
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     written = []

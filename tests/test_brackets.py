@@ -563,6 +563,92 @@ class TestParenthesizations:
         assert math.comb(14, 7) // 8 == 429
 
 
+# ---------------------------------------------------------------------------
+# Oracle: massey_sum before the interval DP over forms.  It canonicalizes
+# every parenthesization one at a time through one shared Canonicalizer.
+
+
+def massey_sum_oracle(index) -> LinkingExpr:
+    entries = tuple(int(i) for i in index)
+    sign = -1 if len(entries) % 2 else 1
+    canon = Canonicalizer()
+    acc: dict[Bracket, int] = {}
+    for linking in parenthesizations(entries[:-1], entries[-1]):
+        rep, s = canon.canonicalize(linking)
+        if s == 0:
+            continue
+        acc[rep] = acc.get(rep, 0) + sign * s
+    return LinkingExpr.from_dict(acc)
+
+
+class TestMasseySumAgainstOracle:
+    def test_every_small_index(self):
+        # every index of weight <= 9 on two letters and <= 7 on three
+        indices = dict.fromkeys(
+            index
+            for symbols, top in (((1, 2), 9), ((1, 2, 3), 7))
+            for q in range(2, top + 1)
+            for index in product(symbols, repeat=q)
+            if index[0] != index[-1]
+        )
+        assert len(indices) == 510 + 2184 - 126  # 126 three-letter ones use two
+        for index in indices:
+            assert massey_sum(index) == massey_sum_oracle(index), index
+
+    @pytest.mark.parametrize("index", ["121212121212", "112233112233"])
+    def test_weight_twelve(self, index):
+        index = tuple(int(c) for c in index)
+        expr = massey_sum(index)
+        assert expr.terms
+        assert expr == massey_sum_oracle(index)
+
+    def test_equal_forms_are_pruned(self, monkeypatch):
+        # a vertex whose two branches share a form is skipped in the
+        # interval DP; left in, it would give the same sum, since
+        # canonicalize finds the class degenerate, but at the cost of a
+        # canonicalization per such form
+        seen = []
+        plain = Canonicalizer.canonicalize
+
+        def canonicalize(self, tree):
+            seen.append(tree)
+            return plain(self, tree)
+
+        def identical_pair(t):
+            return not isinstance(t, int) and (t[0] == t[1] or any(map(identical_pair, t)))
+
+        monkeypatch.setattr(Canonicalizer, "canonicalize", canonicalize)
+        assert massey_sum((1,) * 9 + (2,)).terms == ()
+        assert seen == []  # every bracketing of x^9 has a pair (x,x)
+        for index in [(1, 1, 2, 2), (1, 2, 1, 2, 1, 2, 1, 2, 3), (1, 1, 2, 1, 1, 2, 1, 1, 3)]:
+            massey_sum(index)
+        assert seen and not any(identical_pair(t[0]) for t in seen)
+
+
+@st.composite
+def massey_indices(draw):
+    """An index of weight 2-11 over 1-4 letters.  Half of them repeat one
+    block of letters, where many bracketings share a form."""
+    q = draw(st.integers(2, 11))
+    symbols = list(range(1, draw(st.integers(1, 4)) + 1))
+    if draw(st.booleans()):
+        block = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=q - 1))
+        body = (block * q)[: q - 1]
+    else:
+        body = draw(st.lists(st.sampled_from(symbols), min_size=q - 1, max_size=q - 1))
+    last = draw(st.sampled_from([c for c in (1, 2, 3, 4) if c != body[0]]))
+    return (*body, last)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(massey_indices())
+@example((1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2))
+@example((1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 3))
+@example((1, 2, 2, 1, 2, 1, 2, 2, 2))
+def test_massey_sum_matches_oracle(index):
+    assert massey_sum(index) == massey_sum_oracle(index)
+
+
 class TestMasseySum:
     def test_weight_two(self):
         expr = massey_sum((1, 2))

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -486,6 +489,56 @@ class TestWorkBudget:
         assert code == 3
         assert out == ""
         assert "WORK_BUDGET = 10000000000" in err
+
+
+class TestStartup:
+    def test_import_loads_neither_typing_nor_pathlib(self):
+        # -S skips site, which on some hosts loads both through .pth hooks
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = "import sys, mubar.cli; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "[]\n"
+
+
+class TestPathsAsPathlibSpellsThem:
+    # reads and corpus-install name files as pathlib normalizes the
+    # argument ("./a" as "a", "a/" as "a", "" as "."); stderr and the
+    # written list are part of the contract
+    @pytest.mark.parametrize(
+        "arg, shown",
+        [("./nope.json", "nope.json"), ("nope.json", "nope.json"), ("sub//nope.json", "sub/nope.json")],
+    )
+    def test_missing_file_message(self, tmp_path, monkeypatch, capsys, arg, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        message = f"mubar: [Errno 2] No such file or directory: {shown!r}\n"
+        assert run(capsys, "mu", "--link", arg, "--index", "12") == (2, "", message)
+        code, out, err = run(capsys, "massey-sum", "--index", "12", "--values", arg)
+        assert (code, out, err) == (2, "", message)
+
+    def test_directory_and_trailing_slash(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "star.json").write_text('{"lk(x,y)": 2}')
+        for arg, shown in (("sub/", "sub"), ("./sub", "sub"), ("", ".")):
+            code, out, err = run(capsys, "massey-sum", "--index", "12", "--values", arg)
+            assert (code, out, err) == (2, "", f"mubar: [Errno 21] Is a directory: {shown!r}\n")
+        code, out, err = run(capsys, "massey-sum", "--index", "12", "--values", "star.json/")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == 2
+
+    @pytest.mark.parametrize("arg, shown", [("./dir", "dir"), ("dir/", "dir"), ("./a//b/", "a/b")])
+    def test_corpus_install_written(self, tmp_path, monkeypatch, capsys, arg, shown):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "corpus-install", arg)
+        assert (code, err) == (0, "")
+        written = json.loads(out)["written"]
+        assert written and all(w.startswith(shown + "/") for w in written)
+        assert all((tmp_path / w).is_file() for w in written)
 
 
 def readme_commands() -> list[list[str]]:
