@@ -42,7 +42,7 @@ signs, and canonicalizes one tree per surviving form.
 Where letters repeat, many bracketings share a form: massey_sum takes
 about 0.003 s at weight 10 (1212121212) and 0.02 s at weight 12
 (121212121212).  On distinct letters no two do, so the count stays
-Catalan(q-2) and weight 12 still takes about 1.5 s; the weight is
+Catalan(q-2) and weight 12 still takes about 1.6 s; the weight is
 therefore capped at 12 (WEIGHT_CAP).
 """
 
