@@ -11,12 +11,23 @@ PD-code JSON ({m, components, crossings}) or braid text (``n; A12
 ...``); each is read at the depth the requested computation needs
 unless ``--depth`` overrides it, and a deeper longitude-system file is
 truncated to that depth.
+
+Start-up and exit cost more than most verbs, so the process entry
+(``python -m mubar.cli`` and the ``mubar`` script) builds the parser of
+the invoked verb alone, and freezes the garbage collector once ``main``
+returns: the interpreter's exit then skips its final passes over every
+object start-up allocated.  ``main`` never freezes, since tests call it
+in-process.  The verbs' modules stay imported at module level: ``import
+mubar.cli`` loads every module a verb uses, which the benchmark's tracer
+relies on, and per-verb imports would save only a millisecond or two.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 from . import corpus
@@ -53,13 +64,16 @@ def _read_text(path: str) -> str:
     """The text of a file, read and reported as pathlib.Path would.
 
     pathlib costs start-up time, so only a failed open falls back to it:
-    it opens the normalized path ("./a" as "a", "a/" as "a", "" as "."),
-    and its outcome and error message name that path.
+    it opens the normalized path ("./a" as "a", "a/" as "a"), and its
+    outcome and error message name that path.  An empty path is no file,
+    not the working directory that pathlib reads it as.
     """
     try:
         with open(path) as f:
             return f.read()
     except OSError:
+        if not path:
+            raise
         from pathlib import Path
 
         return Path(path).read_text()
@@ -247,7 +261,68 @@ def emit(report: dict, fmt: str):
         print("\n".join(_render_text(report)))
 
 
-def build_parser() -> _Parser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_DEPTH = _arg("--depth", type=int)
+_LINK_AND_INDEX = (
+    _arg("--link", required=True, help="system/PD/braid file"),
+    _arg("--index", required=True, help="index sequence, e.g. 1122"),
+    _arg("--depth", type=int, help="expansion depth override"),
+)
+_MUTATION_TYPE = _arg("--type", choices=MUTATION_TYPES)
+
+# (name, help, handler, arguments) of every verb, in help order
+VERBS = (
+    ("mu", "Milnor mu of one index", cmd_mu, _LINK_AND_INDEX),
+    ("delta", "indeterminacy of one index", cmd_delta, _LINK_AND_INDEX),
+    ("mu-bar", "mu, Delta and the residue", cmd_mu_bar, _LINK_AND_INDEX),
+    ("vanish-up-to", "do all residues of weight <= q vanish", cmd_vanish_up_to, (
+        _arg("--link", required=True),
+        _arg("--weight", type=int, required=True),
+        _DEPTH,
+    )),
+    ("mutate-report", "connected-sum / mutant congruence report", cmd_mutate_report, (
+        _arg("--alpha", required=True),
+        _arg("--beta", required=True),
+        _arg("--index", required=True),
+        _MUTATION_TYPE,
+        _DEPTH,
+    )),
+    ("find-detector", "indices with mu(I) != mu(I^tau)", cmd_find_detector, (
+        _arg("--alpha", required=True),
+        _arg("--weight", type=int, required=True),
+        _arg("--type", choices=MUTATION_TYPES, required=True),
+        _DEPTH,
+    )),
+    ("massey-sum", "bracket expansion of mu-bar(I)", cmd_massey_sum, (
+        _arg("--index", required=True),
+        _arg("--values", help="JSON file of minimal-linking values"),
+    )),
+    ("lcq", "free-nilpotence of the surgery group quotient", cmd_lcq, (
+        _arg("--link"),
+        _arg("--q", type=int, required=True),
+        _arg("--mutant-of", dest="mutant_of", help="alpha file for the mutative pair"),
+        _MUTATION_TYPE,
+        _DEPTH,
+    )),
+    ("corpus-install", "write the bundled corpus files", cmd_corpus_install, (
+        _arg("directory"),
+    )),
+)
+_VERB_NAMES = frozenset(name for name, *_ in VERBS)
+# what argparse shows for the subparsers when all verbs are its choices
+_VERB_METAVAR = "{" + ",".join(name for name, *_ in VERBS) + "}"
+
+
+def build_parser(verb: str | None = None) -> _Parser:
+    """The parser of every verb, or of ``verb`` alone.
+
+    A one-verb parser pins the subparsers' metavar to the full list, so
+    its top-level usage line (shown on a bad ``--format`` or an extra
+    argument) is the full parser's.
+    """
     parser = _Parser(
         prog="mubar",
         description="Milnor mu-bar invariants, mutation calculus and "
@@ -257,63 +332,35 @@ def build_parser() -> _Parser:
         "--format", choices=("json", "text"), default="json",
         help="output format (text is derived from the JSON report)",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_link_verb(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--link", required=True, help="system/PD/braid file")
-        p.add_argument("--index", required=True, help="index sequence, e.g. 1122")
-        p.add_argument("--depth", type=int, help="expansion depth override")
-        p.set_defaults(func=func)
-        return p
-
-    add_link_verb("mu", cmd_mu, "Milnor mu of one index")
-    add_link_verb("delta", cmd_delta, "indeterminacy of one index")
-    add_link_verb("mu-bar", cmd_mu_bar, "mu, Delta and the residue")
-
-    p = sub.add_parser("vanish-up-to", help="do all residues of weight <= q vanish")
-    p.add_argument("--link", required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--depth", type=int)
-    p.set_defaults(func=cmd_vanish_up_to)
-
-    p = sub.add_parser("mutate-report", help="connected-sum / mutant congruence report")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--type", choices=MUTATION_TYPES)
-    p.add_argument("--depth", type=int)
-    p.set_defaults(func=cmd_mutate_report)
-
-    p = sub.add_parser("find-detector", help="indices with mu(I) != mu(I^tau)")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--type", choices=MUTATION_TYPES, required=True)
-    p.add_argument("--depth", type=int)
-    p.set_defaults(func=cmd_find_detector)
-
-    p = sub.add_parser("massey-sum", help="bracket expansion of mu-bar(I)")
-    p.add_argument("--index", required=True)
-    p.add_argument("--values", help="JSON file of minimal-linking values")
-    p.set_defaults(func=cmd_massey_sum)
-
-    p = sub.add_parser("lcq", help="free-nilpotence of the surgery group quotient")
-    p.add_argument("--link")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--mutant-of", dest="mutant_of", help="alpha file for the mutative pair")
-    p.add_argument("--type", choices=MUTATION_TYPES)
-    p.add_argument("--depth", type=int)
-    p.set_defaults(func=cmd_lcq)
-
-    p = sub.add_parser("corpus-install", help="write the bundled corpus files")
-    p.add_argument("directory")
-    p.set_defaults(func=cmd_corpus_install)
-
+    if verb is None:
+        sub = parser.add_subparsers(dest="verb", required=True)
+    else:
+        sub = parser.add_subparsers(dest="verb", required=True, metavar=_VERB_METAVAR)
+    for name, help_text, func, arguments in VERBS:
+        if verb is None or name == verb:
+            p = sub.add_parser(name, help=help_text)
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
+def _invoked_verb(argv: list[str]) -> str | None:
+    """The verb of ``VERB ...`` or ``--format F VERB ...``, else None.
+
+    Only these argv get a one-verb parser; any other (help before the
+    verb, no verb, an unknown one) needs the full parser's messages.
+    """
+    if argv[:1] == ["--format"]:
+        argv = argv[2:]
+    elif argv[:1] and argv[0].startswith("--format="):
+        argv = argv[1:]
+    return argv[0] if argv and argv[0] in _VERB_NAMES else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(_invoked_verb(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -336,5 +383,26 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """Run ``main()`` as the ``mubar`` script or ``python -m mubar.cli``.
+
+    A reader that closed stdout early (``mubar ... | head -1``) ends the
+    process with exit 1 and no traceback.  The collector is frozen before
+    the process exits, so it skips its final passes over everything
+    start-up allocated; ``main`` itself never freezes.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the pattern of the signal module's note on SIGPIPE: the
+        # interpreter's own flush at exit must not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

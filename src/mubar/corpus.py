@@ -17,7 +17,9 @@ on them.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from random import Random
 
 from .links import (
@@ -182,6 +184,9 @@ def corpus_install(directory) -> list[str]:
     # its output lists the paths as pathlib normalizes them
     from pathlib import Path
 
+    if directory == "":
+        # pathlib reads "" as the working directory; os.mkdir("") fails
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), directory)
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     written = []

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -7,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from mubar import cli
 from mubar.cli import main
 from mubar.corpus import hopf_pd
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 # stdout of each README example in both formats, recorded before the
 # relabelling and mutant refactors; any change here is a contract change
 README_EXAMPLES = json.loads((DATA / "readme_examples.json").read_text())
@@ -494,9 +497,8 @@ class TestWorkBudget:
 class TestStartup:
     def test_import_loads_neither_typing_nor_pathlib(self):
         # -S skips site, which on some hosts loads both through .pth hooks
-        src = str(Path(__file__).resolve().parent.parent / "src")
         probe = "import sys, mubar.cli; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run(
             [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True
         )
@@ -506,8 +508,8 @@ class TestStartup:
 
 class TestPathsAsPathlibSpellsThem:
     # reads and corpus-install name files as pathlib normalizes the
-    # argument ("./a" as "a", "a/" as "a", "" as "."); stderr and the
-    # written list are part of the contract
+    # argument ("./a" as "a", "a/" as "a"); stderr and the written list
+    # are part of the contract.  An empty path is no file, as for open().
     @pytest.mark.parametrize(
         "arg, shown",
         [("./nope.json", "nope.json"), ("nope.json", "nope.json"), ("sub//nope.json", "sub/nope.json")],
@@ -524,12 +526,21 @@ class TestPathsAsPathlibSpellsThem:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         (tmp_path / "star.json").write_text('{"lk(x,y)": 2}')
-        for arg, shown in (("sub/", "sub"), ("./sub", "sub"), ("", ".")):
+        for arg, shown in (("sub/", "sub"), ("./sub", "sub")):
             code, out, err = run(capsys, "massey-sum", "--index", "12", "--values", arg)
             assert (code, out, err) == (2, "", f"mubar: [Errno 21] Is a directory: {shown!r}\n")
+        code, out, err = run(capsys, "massey-sum", "--index", "12", "--values", "")
+        assert (code, out, err) == (2, "", "mubar: [Errno 2] No such file or directory: ''\n")
         code, out, err = run(capsys, "massey-sum", "--index", "12", "--values", "star.json/")
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == 2
+
+    def test_empty_path_is_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        message = "mubar: [Errno 2] No such file or directory: ''\n"
+        assert run(capsys, "mu", "--link", "", "--index", "12") == (2, "", message)
+        assert run(capsys, "corpus-install", "") == (2, "", message)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("arg, shown", [("./dir", "dir"), ("dir/", "dir"), ("./a//b/", "a/b")])
     def test_corpus_install_written(self, tmp_path, monkeypatch, capsys, arg, shown):
@@ -539,6 +550,75 @@ class TestPathsAsPathlibSpellsThem:
         written = json.loads(out)["written"]
         assert written and all(w.startswith(shown + "/") for w in written)
         assert all((tmp_path / w).is_file() for w in written)
+
+
+# "{c}" stands for the corpus directory
+ORACLE_ARGV = [
+    ["mu", "--link", "{c}/hopf.json", "--index", "12"],
+    ["delta", "--link", "{c}/hopf.json", "--index", "1122"],
+    ["mu-bar", "--link", "{c}/borromean.json", "--index", "123"],
+    ["vanish-up-to", "--link", "{c}/borromean.json", "--weight", "2"],
+    ["mutate-report", "--alpha", "{c}/hopf.json", "--beta", "{c}/hopf.json", "--index", "12", "--type", "F"],
+    ["find-detector", "--alpha", "{c}/l6.json", "--weight", "6", "--type", "F"],
+    ["massey-sum", "--index", "122121222", "--values", "{c}/star.json"],
+    ["lcq", "--link", "{c}/borromean.json", "--q", "3"],
+    ["corpus-install", "{c}/again"],
+    *([verb, "-h"] for verb in ("mu", "delta", "mu-bar", "vanish-up-to", "mutate-report",
+                                "find-detector", "massey-sum", "lcq", "corpus-install")),
+    ["--format=text", "mu", "--link", "{c}/hopf.json", "--index", "12"],
+    ["--form", "text", "mu", "--link", "{c}/hopf.json", "--index", "12"],
+    ["--format", "xml", "mu", "--link", "{c}/hopf.json", "--index", "12"],
+    ["mu", "--link", "{c}/hopf.json", "--index", "12", "extra"],
+    ["mu", "--link", "{c}/hopf.json"],
+    ["lcq", "--link", "{c}/borromean.json", "--q", "three"],
+    ["lcq", "--mutant-of", "{c}/l6.json", "--type", "Q", "--q", "6"],
+]
+
+
+class TestOneVerbParser:
+    @pytest.mark.parametrize("argv", ORACLE_ARGV, ids=[" ".join(a) for a in ORACLE_ARGV])
+    def test_same_as_full_parser(self, corpus_dir, capsys, monkeypatch, argv):
+        argv = [a.replace("{c}", str(corpus_dir)) for a in argv]
+        if argv[0] != "--form":  # abbreviations take the full parser
+            assert cli._invoked_verb(argv) in cli._VERB_NAMES
+        one_verb = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_invoked_verb", lambda argv: None)
+        assert run(capsys, *argv) == one_verb
+
+
+def _module_run(argv, **kwargs):
+    """``python -m mubar.cli ARGV`` with this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "mubar.cli", *argv], env=env, **kwargs)
+
+
+class TestEntry:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["mu", "--link", "{c}/hopf.json", "--index", "12"], 0),
+            (["mu", "--link", "{c}/hopf.json"], 1),
+            (["mu", "--link", "{c}/none.json", "--index", "12"], 2),
+            (["mu", "--link", "{c}/hopf.json", "--index", "123"], 3),
+        ],
+    )
+    def test_module_run_is_main(self, corpus_dir, capsys, argv, code):
+        argv = [a.replace("{c}", str(corpus_dir)) for a in argv]
+        in_process = run(capsys, *argv)
+        assert in_process[0] == code
+        assert gc.get_freeze_count() == 0  # only the process entry freezes
+        done = _module_run(argv, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == in_process
+
+    def test_closed_stdout_exits_1_without_traceback(self, corpus_dir):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = ["mu", "--link", str(corpus_dir / "hopf.json"), "--index", "12"]
+            done = _module_run(argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 def readme_commands() -> list[list[str]]:
