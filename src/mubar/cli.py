@@ -12,12 +12,12 @@ PD-code JSON ({m, components, crossings}) or braid text (``n; A12
 unless ``--depth`` overrides it, and a deeper longitude-system file is
 truncated to that depth.
 
-Start-up and exit cost more than most verbs, so the process entry
-(``python -m mubar.cli`` and the ``mubar`` script) builds the parser of
-the invoked verb alone, and freezes the garbage collector once ``main``
-returns: the interpreter's exit then skips its final passes over every
-object start-up allocated.  ``main`` never freezes, since tests call it
-in-process.  The verbs' modules stay imported at module level: ``import
+Start-up and exit cost more than most verbs, so ``main`` builds the
+parser of the invoked verb alone, and the process entry (``python -m
+mubar.cli`` and the ``mubar`` script) freezes the garbage collector once
+``main`` returns: the interpreter's exit then skips its final passes
+over every object start-up allocated.  ``main`` never freezes, since
+tests call it in-process.  The verbs' modules stay imported at module level: ``import
 mubar.cli`` loads every module a verb uses, which the benchmark's tracer
 relies on, and per-verb imports would save only a millisecond or two.
 """
