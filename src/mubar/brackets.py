@@ -19,9 +19,11 @@ choice of root edge and of child order per vertex, with the sign of
 the antisymmetry (AS) relation of Habegger-Masbaum ("The Kontsevich
 integral and Milnor's invariants", Topology 2000).  So canonicalize()
 re-roots the tree at each of its 2(2n-3) directed edges, keeping the
-best child order per branch, in O(n^2) time.  A Canonicalizer keeps
-the downward branches it has built, keyed by sub-bracket, and numbers
-branches by form (unordered labelled rooted tree); massey_sum() and
+best child order per branch, in O(n^2) time.  The branch above a
+vertex is the rest of the tree re-associated to hang there, itself a
+bracket.  A Canonicalizer keeps the branches it has built, keyed by
+bracket, and numbers branches by form (unordered labelled rooted
+tree); massey_sum() and
 evaluate_detailed() each share one across a call, and it is dropped
 when the call returns, so no table outlives a call.
 
@@ -234,7 +236,9 @@ class Canonicalizer:
 
     ``forms`` numbers branches as unordered labelled rooted trees (a
     leaf by its component, a pair by its two forms), and ``sides`` holds
-    the best orientation of each downward branch, keyed by sub-bracket.
+    the best orientation of each branch built so far, keyed by bracket:
+    sub-brackets of the input trees and the re-associated brackets that
+    hang above their vertices.
     Both depend only on the branch, so one instance serves any number of
     trees: massey_sum() makes one per call, for its interval DP over
     forms and for the trees it canonicalizes, which share most of their
@@ -277,11 +281,14 @@ class Canonicalizer:
         the tie-break order of the module docstring.  Its parts decompose
         over branches, so each branch keeps the better of its two child
         orders, and the root is the best of the 2(2n-3) directed edges.
-        Every vertex's downward branch comes from the shared table; its
-        upward branch (the rest of the tree) first gets only its weight
-        and form.  The full tie-break key is built only for root edges
-        of least (imbalance, left weight), and an upward branch only
-        along the path such an edge needs.
+        The branch above a vertex is the rest of the tree re-associated
+        to hang from it: (t[1], above) over the left child of t and
+        (above, t[0]) over the right.  Re-association keeps every cyclic
+        order, so side() of that bracket is the upward branch with its
+        flips counted against the input, and it shares every sub-bracket
+        with the input but the path to the old root.  The walk carries
+        only these brackets and their forms; side() builds tie-break
+        keys only for the root edges of least (imbalance, left weight).
 
         The returned sign s satisfies lk(tree) = s * lk(representative).
         A sign of 0 marks a degenerate class (equivalent to its own
@@ -293,60 +300,35 @@ class Canonicalizer:
             raise PreconditionError("a formal linking needs weight > 1")
         if isinstance(tree[0], int) and isinstance(tree[1], int):
             return tree, 1
-        # Vertices in preorder of tree[0], then of tree[1]; the two top
-        # vertices are each other's parent.  down[v] is v's downward
-        # branch and above[v] the form of the branch at parent[v] that
-        # hangs away from v.
+        # Vertices in preorder of tree[0], then of tree[1].  Each carries
+        # the rest of the tree re-associated to hang above it, and that
+        # bracket's form; the two top vertices hang above each other.
+        # Root edges (left weight, left, right) are listed in the order
+        # (vertex, its neighbours parent, left, right).
         side, form = self.side, self._form
         first, second = side(tree[0]), side(tree[1])
-        n, top = first.weight + second.weight, 2 * first.weight - 1
-        down: list[_Side] = []
-        parent: list[int] = []
-        kids: list[tuple[int, int] | None] = []
-        above: list[int] = []
+        n = first.weight + second.weight
+        edges: list[tuple[int, Bracket, Bracket]] = []
         degenerate = False
-        stack = [(tree[1], second, 0, first.form), (tree[0], first, top, second.form)]
+        stack = [(tree[1], tree[0], first.form), (tree[0], tree[1], second.form)]
         while stack:
-            t, d, p, up = stack.pop()
-            v = len(down)
-            down.append(d)
-            parent.append(p)
-            above.append(up)
+            t, above, up = stack.pop()
+            edges.append((side(t).weight, t, above))
             if isinstance(t, int):
-                kids.append(None)
                 continue
             a, b = side(t[0]), side(t[1])
             degenerate = degenerate or a.form == b.form or up in (a.form, b.form)
-            kids.append((v + 1, v + 2 * a.weight))
-            stack.append((t[1], b, v, form(a.form, up)))
-            stack.append((t[0], a, v, form(b.form, up)))
-
-        ups: list[_Side | None] = [None] * len(down)
-        ups[0], ups[top] = second, first
-
-        def upward(x: int) -> _Side:
-            # the branch at parent[x] that hangs away from x, built lazily
-            got = ups[x]
-            if got is None:
-                p = parent[x]
-                a, b = kids[p]
-                if x == a:
-                    got = _vertex(down[b], upward(p), above[x])
-                else:
-                    got = _vertex(upward(p), down[a], above[x])
-                ups[x] = got
-            return got
-
-        # Root edges in the order (vertex, its neighbours parent, left,
-        # right); only those of least (imbalance, left weight) compete.
-        target = max(min(d.weight, n - d.weight) for d in down)
+            over_a, over_b = (t[1], above), (above, t[0])
+            edges.append((n - a.weight, over_a, t[0]))
+            edges.append((n - b.weight, over_b, t[1]))
+            stack.append((t[1], over_b, form(a.form, up)))
+            stack.append((t[0], over_a, form(b.form, up)))
+        # Only root edges of least (imbalance, left weight) compete.
+        target = max(min(w, n - w) for w, _, _ in edges)
         best = None
-        for u, d in enumerate(down):
-            if d.weight == target:
-                best = _choose(best, d, upward(u))
-            for c in kids[u] or ():
-                if n - down[c].weight == target:
-                    best = _choose(best, upward(c), down[c])
+        for w, left, right in edges:
+            if w == target:
+                best = _choose(best, side(left), side(right))
         _, left, right = best
         if degenerate:
             return (left.tree, right.tree), 0

@@ -42,26 +42,38 @@ class LongitudeSystem:
             raise ValueError(
                 f"expected {self.m} longitudes, got {len(self.longitudes)}"
             )
+        # exponent sums[i - 1][g] of x_g in longitude i, one pass per word
+        sums: list[dict[int, int]] = []
         for i, w in enumerate(self.longitudes, start=1):
             high = w.max_generator()
             if high > self.m:
                 raise ValueError(
                     f"longitude {i} uses generator x{high} beyond m={self.m}"
                 )
-            if w.exponent_sum(i) != 0:
+            counts: dict[int, int] = {}
+            for g, s in w.letters:
+                counts[g] = counts.get(g, 0) + s
+            if counts.get(i, 0) != 0:
                 raise ValueError(
                     f"longitude {i} is not 0-framed: exponent sum of x{i} is "
-                    f"{w.exponent_sum(i)}"
+                    f"{counts[i]}"
                 )
-        for i in range(1, self.m + 1):
-            for j in range(i + 1, self.m + 1):
-                lk_ij = self.longitudes[i - 1].exponent_sum(j)
-                lk_ji = self.longitudes[j - 1].exponent_sum(i)
-                if lk_ij != lk_ji:
-                    raise ValueError(
-                        f"asymmetric linking numbers: x{j} in longitude {i} gives "
-                        f"{lk_ij} but x{i} in longitude {j} gives {lk_ji}"
-                    )
+            sums.append(counts)
+        # only a pair with a nonzero linking number on one side can differ
+        pairs = {
+            (min(i, j), max(i, j))
+            for i, counts in enumerate(sums, start=1)
+            for j, s in counts.items()
+            if s
+        }
+        for i, j in sorted(pairs):
+            lk_ij = sums[i - 1].get(j, 0)
+            lk_ji = sums[j - 1].get(i, 0)
+            if lk_ij != lk_ji:
+                raise ValueError(
+                    f"asymmetric linking numbers: x{j} in longitude {i} gives "
+                    f"{lk_ij} but x{i} in longitude {j} gives {lk_ji}"
+                )
         check_term_budget(self.m, self.depth)
         object.__setattr__(self, "_expansions", {})
 

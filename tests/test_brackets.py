@@ -12,6 +12,8 @@ from mubar.brackets import (
     Bracket,
     Canonicalizer,
     LinkingExpr,
+    _choose,
+    _vertex,
     canonicalize,
     evaluate,
     evaluate_detailed,
@@ -278,6 +280,78 @@ def rerooting_canonicalize(tree: Bracket, sign: int = 1) -> tuple[Bracket, int]:
     return (left.tree, right.tree), sign * (-1) ** (left.flips + right.flips)
 
 
+# ---------------------------------------------------------------------------
+# Oracle: Canonicalizer.canonicalize before it re-associated the bracket.
+# It numbers the vertices in preorder, keeps five per-vertex lists and
+# builds each upward branch lazily from its parent's, by index.
+
+
+def lazy_rerooting_canonicalize(canon: Canonicalizer, tree: Bracket) -> tuple[Bracket, int]:
+    """canon.canonicalize(tree) by indexed lazy re-rooting."""
+    if isinstance(tree, int):
+        raise PreconditionError("a formal linking needs weight > 1")
+    if isinstance(tree[0], int) and isinstance(tree[1], int):
+        return tree, 1
+    # Vertices in preorder of tree[0], then of tree[1]; the two top
+    # vertices are each other's parent.  down[v] is v's downward
+    # branch and above[v] the form of the branch at parent[v] that
+    # hangs away from v.
+    side, form = canon.side, canon._form
+    first, second = side(tree[0]), side(tree[1])
+    n, top = first.weight + second.weight, 2 * first.weight - 1
+    down: list[_Side] = []
+    parent: list[int] = []
+    kids: list[tuple[int, int] | None] = []
+    above: list[int] = []
+    degenerate = False
+    stack = [(tree[1], second, 0, first.form), (tree[0], first, top, second.form)]
+    while stack:
+        t, d, p, up = stack.pop()
+        v = len(down)
+        down.append(d)
+        parent.append(p)
+        above.append(up)
+        if isinstance(t, int):
+            kids.append(None)
+            continue
+        a, b = side(t[0]), side(t[1])
+        degenerate = degenerate or a.form == b.form or up in (a.form, b.form)
+        kids.append((v + 1, v + 2 * a.weight))
+        stack.append((t[1], b, v, form(a.form, up)))
+        stack.append((t[0], a, v, form(b.form, up)))
+
+    ups: list[_Side | None] = [None] * len(down)
+    ups[0], ups[top] = second, first
+
+    def upward(x: int) -> _Side:
+        # the branch at parent[x] that hangs away from x, built lazily
+        got = ups[x]
+        if got is None:
+            p = parent[x]
+            a, b = kids[p]
+            if x == a:
+                got = _vertex(down[b], upward(p), above[x])
+            else:
+                got = _vertex(upward(p), down[a], above[x])
+            ups[x] = got
+        return got
+
+    # Root edges in the order (vertex, its neighbours parent, left,
+    # right); only those of least (imbalance, left weight) compete.
+    target = max(min(d.weight, n - d.weight) for d in down)
+    best = None
+    for u, d in enumerate(down):
+        if d.weight == target:
+            best = _choose(best, d, upward(u))
+        for c in kids[u] or ():
+            if n - down[c].weight == target:
+                best = _choose(best, upward(c), down[c])
+    _, left, right = best
+    if degenerate:
+        return (left.tree, right.tree), 0
+    return (left.tree, right.tree), (-1) ** (left.flips + right.flips)
+
+
 def all_trees(leaves, symbols):
     if leaves == 1:
         yield from symbols
@@ -468,11 +542,13 @@ class TestCanonicalizeAgainstRerooting:
     def test_shared_table_across_trees(self):
         # one instance fed trees of mixed weights and alphabets in turn
         rng = random.Random(17)
-        canon = Canonicalizer()
+        canon, lazy = Canonicalizer(), Canonicalizer()
         for _ in range(2000):
             symbols = (1, 2, 3, 4)[: rng.randint(1, 4)]
             tree = random_tree(rng, rng.randint(2, 10), symbols)
-            assert canon.canonicalize(tree) == rerooting_canonicalize(tree), tree
+            got = canon.canonicalize(tree)
+            assert got == rerooting_canonicalize(tree), tree
+            assert got == lazy_rerooting_canonicalize(lazy, tree), tree
 
 
 def _draw_bracket(draw, leaves, symbols):
@@ -520,6 +596,7 @@ def test_canonicalize_matches_rerooting_oracle(case):
     tree, grafted = case
     got = canonicalize(tree)
     assert got == rerooting_canonicalize(tree)
+    assert got == lazy_rerooting_canonicalize(Canonicalizer(), tree)
     if grafted:
         assert got[1] == 0
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # stdout of each README example in both formats, recorded before the
 # relabelling and mutant refactors; any change here is a contract change
 README_EXAMPLES = json.loads((DATA / "readme_examples.json").read_text())
+# stdout of massey-sum on the brackets workload's seed-1 indices and three
+# more, recorded before canonicalize re-associated the bracket; it pins the
+# canonical representatives and their signs
+MASSEY_SUM_STDOUT = json.loads((DATA / "massey_sum_stdout.json").read_text())
 
 
 def run(capsys, *argv):
@@ -336,6 +341,18 @@ class TestErrorsAndFormats:
         assert out == ""
         assert "TERM_BUDGET = 1048576" in err
 
+    def test_many_components_over_term_budget_exit_3(self, tmp_path, capsys):
+        # The linking-symmetry check runs first and reads each longitude
+        # once, so 20,000 components reach the budget without a pass per
+        # pair of components.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"m": 20_000, "depth": 3, "longitudes": ["e"] * 20_000}))
+        start = time.process_time()
+        code, out, err = run(capsys, "mu", "--link", str(path), "--index", "12")
+        assert time.process_time() - start < 10
+        assert (code, out) == (3, "")
+        assert "TERM_BUDGET = 1048576" in err
+
     @pytest.mark.parametrize(
         "name, text",
         [
@@ -648,6 +665,14 @@ class TestReadmeExamples:
         code, out, err = run(capsys, "--format", fmt, *argv)
         assert (code, err) == (0, "")
         assert out == example[fmt]
+
+
+class TestMasseySumStdout:
+    @pytest.mark.parametrize("index", list(MASSEY_SUM_STDOUT))
+    def test_stdout_unchanged(self, capsys, index):
+        code, out, err = run(capsys, "massey-sum", "--index", index)
+        assert (code, err) == (0, "")
+        assert out == MASSEY_SUM_STDOUT[index]
 
 
 def _commutator_braid_text(rng: random.Random, strands: int, count: int) -> str:

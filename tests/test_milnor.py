@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -75,6 +76,20 @@ class TestLongitudeSystem:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="asymmetric"):
             LongitudeSystem(2, 4, (parse_word("x2"), parse_word("e")))
+
+    def test_symmetry_reports_least_pair(self):
+        # asymmetric at (2, 3) and (1, 4); (1, 4) comes first
+        words = tuple(map(parse_word, ("x4", "x3", "e", "e")))
+        with pytest.raises(ValueError, match=r"^asymmetric linking numbers: x4 in "
+                           r"longitude 1 gives 1 but x1 in longitude 4 gives 0$"):
+            LongitudeSystem(4, 3, words)
+
+    def test_many_components_check_in_linear_time(self):
+        # each longitude is read once, not once per pair of components
+        start = time.process_time()
+        system = LongitudeSystem(20_000, 2, (Word(),) * 20_000)
+        assert time.process_time() - start < 10
+        assert system.m == 20_000
 
     def test_generator_range(self):
         with pytest.raises(ValueError, match="x3"):
