@@ -23,9 +23,9 @@ best child order per branch, in O(n^2) time.  The branch above a
 vertex is the rest of the tree re-associated to hang there, itself a
 bracket.  A Canonicalizer keeps the branches it has built, keyed by
 bracket, and numbers branches by form (unordered labelled rooted
-tree); massey_sum() and
-evaluate_detailed() each share one across a call, and it is dropped
-when the call returns, so no table outlives a call.
+tree); massey_sum() and evaluate_detailed() each share one across a
+call, and it is dropped when the call returns, so no table outlives a
+call.
 
 Among equally balanced splits the representative has the smaller side
 on the left, then the most string-like rendering (fewest parentheses),
