@@ -15,7 +15,7 @@ An index of weight w is meaningful only when w <= depth - 1.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations, compress
 
 from .errors import ParseError, PreconditionError
 from .magnus import NCSeries, check_term_budget, magnus_expand
@@ -191,14 +191,42 @@ def first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
     least index with nonzero residue is the least one with nonzero mu,
     and no Delta is computed.
 
-    Reads coefficients without the validity check, so q may equal the
-    system depth; None for q < 2.
+    Weight w reads each longitude's degree w - 1 level whole and skips
+    the zero ones; only the witness weight decodes positions into
+    indices.  Reads coefficients without the validity check, so q may
+    equal the system depth but not exceed it; None for q < 2.
     """
-    for weight in range(2, q + 1):
-        for entries in product(range(1, system.m + 1), repeat=weight):
-            if _mu_raw(system, entries) != 0:
-                return entries
+    if q > system.depth:
+        raise PreconditionError(
+            f"weight {q} exceeds the system depth {system.depth}"
+        )
+    for d in range(1, q):
+        found = []
+        for j in range(1, system.m + 1):
+            series = _expansion(system, j)
+            if any(series.levels[d]):
+                found.append(_least_monomial(series, d) + (j,))
+        if found:
+            return min(found)
     return None
+
+
+def _least_monomial(series: NCSeries, d: int) -> Index:
+    """Lexicographically least degree-d monomial with a nonzero coefficient.
+
+    A position's base-width digits, least significant first, are the
+    monomial's letters in order, so the numerically least position is
+    not the least monomial once d > 1.
+    """
+    m, level = series.width, series.levels[d]
+    monomials = []
+    for pos in compress(range(len(level)), level):
+        letters = []
+        for _ in range(d):
+            pos, digit = divmod(pos, m)
+            letters.append(digit + 1)
+        monomials.append(tuple(letters))
+    return min(monomials)
 
 
 def all_vanish_up_to(system: LongitudeSystem, q: int) -> bool:

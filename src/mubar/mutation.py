@@ -260,10 +260,3 @@ def witnessed_mutant(
     return composite, [
         _report(alpha, beta, composite, entries, tau) for entries in detectors
     ]
-
-
-def theorem_main_witness(
-    alpha: LongitudeSystem, q: int, tau: str
-) -> list[MutantReport]:
-    """The reports of :func:`witnessed_mutant`; empty without a detector."""
-    return witnessed_mutant(alpha, q, tau)[1]

@@ -10,13 +10,15 @@ are computed independently here and must agree.
 A mutative pair is a ribbon sum alpha # inverse_mirror(alpha) together
 with one of its bi-mutants: when a detector index exists, the sum's
 quotient is free and the mutant's is not, so the two surgery manifolds
-have different q-th lower central quotients.
+have different q-th lower central quotients.  The paper's weight-9
+self-mutant is decided by minimal linkings instead (mubar.brackets):
+mu-bar(122121222) evaluates to -20 on the paper's values, so that
+mutant's ninth quotient is not free, as
+``mubar massey-sum --index 122121222 --values star.json`` prints.
 """
 
 from __future__ import annotations
 
-from .brackets import evaluate_detailed, massey_sum
-from .corpus import STAR_LINKING_VALUES
 from .errors import PreconditionError
 from .links import inverse_mirror
 from .magnus import lcs_depth
@@ -130,30 +132,3 @@ def mutative_pair_report(
         mutant=lcq_is_free(composite, q),
         witnesses=tuple(witnesses),
     )
-
-
-def self_mutation_ninth_quotient(values: dict | None = None) -> dict:
-    """The weight-9 self-mutation instance, via minimal linkings.
-
-    A ribbon 2-component link has a positive self-mutant admitting a
-    weight-9 surface system whose only nonvanishing minimal linking is
-    lk(yyxy,(yxy,xy)) = 1.  Evaluating the bracket expansion of
-    mu-bar(122121222) on those values gives -20, so the mutant's
-    relators are not in F_9 and the ninth lower central quotient of its
-    surgery manifold is not free nilpotent, while the ribbon link's is.
-    """
-    index = (1, 2, 2, 1, 2, 1, 2, 2, 2)
-    expr = massey_sum(index)
-    vals = STAR_LINKING_VALUES if values is None else values
-    total, missing = evaluate_detailed(expr, vals)
-    return {
-        "index": format_index(index),
-        "weight": len(index),
-        "expansion": expr.to_json(),
-        "linking_values": dict(vals),
-        "assumes_surface_system_of_weight": len(index),
-        "mu_bar": total,
-        "defaulted_to_zero": missing,
-        "ribbon_sum_quotient_free": True,
-        "mutant_quotient_free": total == 0,
-    }

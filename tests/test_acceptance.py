@@ -44,9 +44,9 @@ from mubar.mutation import (
     apply_mutation,
     find_detector,
     mutant_mu,
-    theorem_main_witness,
     transform_index,
     weight_lt6_invariance_check,
+    witnessed_mutant,
 )
 from mubar.surgery import lcq_is_free
 from mubar.words import Word, commutator, generator, left_normed
@@ -99,7 +99,7 @@ def test_criterion_01_massey_formula_reproduction(capsys):
 
 def test_criterion_02_evaluation_minus_twenty():
     expr = brackets.massey_sum((1, 2, 2, 1, 2, 1, 2, 2, 2))
-    value = brackets.evaluate(expr, {"lk(yyxy,(yxy,xy))": 1})
+    value, _ = brackets.evaluate_detailed(expr, {"lk(yyxy,(yxy,xy))": 1})
     assert value == -20
     print("\ncriterion 2 PASS: evaluation with lk(yyxy,(yxy,xy))=1 gives -20")
 
@@ -311,7 +311,7 @@ def test_criterion_10_weight6_detector():
     assert mu_bar(alpha, (2, 2, 1, 1, 1, 1)).residue == 0
     detectors = find_detector(alpha, 6, "F")
     assert (1, 1, 2, 2, 2, 2) in detectors
-    reports = theorem_main_witness(alpha, 6, "F")
+    _, reports = witnessed_mutant(alpha, 6, "F")
     assert reports, "expected nonvanishing weight-6 mutant invariants"
     for report in reports:
         assert report.modulus == 0

@@ -224,6 +224,25 @@ class TestLcqVerb:
         assert data["ribbon_sum"]["free"] is True
         assert data["mutant"]["free"] is False
 
+    @pytest.mark.parametrize(
+        "longitudes, witness",
+        [
+            (["e"] * 3000, None),
+            ([f"x{i + 1}" if i % 2 else f"x{i - 1}" for i in range(1, 3001)], "12"),
+        ],
+        ids=["trivial", "paired"],
+    )
+    def test_many_components_weight_two(self, tmp_path, capsys, longitudes, witness):
+        # weight 2 reads each longitude's degree-1 level whole instead of
+        # m^2 coefficients one at a time
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"m": 3000, "depth": 2, "longitudes": longitudes}))
+        start = time.process_time()
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "2")
+        assert time.process_time() - start < 2
+        assert (code, err) == (0, "")
+        assert json.loads(out)["witness"] == witness
+
     def test_usage_errors(self, corpus_dir, capsys):
         code, _, err = run(capsys, "lcq", "--q", "2")
         assert code == 1

@@ -11,6 +11,7 @@ from mubar.corpus import (
     borromean_pd,
     borromean_system,
     milnor_l6_system,
+    random_pure_braid,
     random_realized_system,
 )
 from mubar.errors import ParseError, PreconditionError
@@ -53,6 +54,18 @@ def residue_scan(system: LongitudeSystem, q: int):
         for entries in product(range(1, system.m + 1), repeat=weight):
             m_val = _mu_raw(system, entries)
             if residue_of(m_val, _delta_raw(system, entries)) != 0:
+                return entries
+    return None
+
+
+# Oracle: the per-index scan first_nonvanishing used before it read
+# whole levels, verbatim apart from its name.
+
+
+def first_nonvanishing_oracle(system: LongitudeSystem, q: int):
+    for weight in range(2, q + 1):
+        for entries in product(range(1, system.m + 1), repeat=weight):
+            if _mu_raw(system, entries) != 0:
                 return entries
     return None
 
@@ -231,7 +244,9 @@ def _reduced_words(gens: int, max_len: int) -> list[Word]:
 
 def _assert_scans_agree(system: LongitudeSystem):
     for q in range(2, system.depth + 1):
-        assert first_nonvanishing(system, q) == residue_scan(system, q), (system, q)
+        found = first_nonvanishing(system, q)
+        assert found == first_nonvanishing_oracle(system, q), (system, q)
+        assert found == residue_scan(system, q), (system, q)
 
 
 @st.composite
@@ -248,6 +263,23 @@ def commutator_systems(draw):
             w = w * left_normed(*gens)
         longs.append(w)
     return LongitudeSystem(m, 6, tuple(longs))
+
+
+@st.composite
+def narrow_systems(draw):
+    # Longitude i uses only x1..x_{k_i} for a drawn k_i <= m, so its
+    # expansion is narrower than the system; products of commutators
+    # keep every exponent sum 0.
+    m = draw(st.integers(2, 4))
+    longs = []
+    for _ in range(m):
+        k = draw(st.integers(1, m))
+        gens = st.tuples(st.integers(1, k), st.sampled_from((1, -1)))
+        w = Word()
+        for a, b in draw(st.lists(st.tuples(gens, gens), max_size=3)):
+            w = w * commutator(generator(*a), generator(*b))
+        longs.append(w)
+    return LongitudeSystem(m, 4, tuple(longs))
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -305,6 +337,25 @@ class TestScanAgainstResidueOracle:
     @given(scan_systems)
     def test_random_systems(self, system):
         _assert_scans_agree(system)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(narrow_systems())
+    def test_narrow_longitudes(self, system):
+        for q in range(2, system.depth + 1):
+            assert first_nonvanishing(system, q) == first_nonvanishing_oracle(system, q)
+
+    def test_braid_closures(self):
+        # every strand of random pure braids on 2-4 strands, at depth 5
+        rng = random.Random(47)
+        for _ in range(60):
+            braid = random_pure_braid(rng, rng.randint(2, 4), rng.randint(0, 8))
+            system = artin_longitudes(braid, 5)
+            for q in range(2, 6):
+                assert first_nonvanishing(system, q) == first_nonvanishing_oracle(system, q)
+
+    def test_weight_beyond_depth_refused(self):
+        with pytest.raises(PreconditionError, match="exceeds the system depth 4"):
+            first_nonvanishing(hopf_type(depth=4), 5)
 
 
 class TestCyclicSymmetry:

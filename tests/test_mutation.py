@@ -30,9 +30,9 @@ from mubar.mutation import (
     find_detector,
     mutant_mu,
     normalize_linking,
-    theorem_main_witness,
     transform_index,
     weight_lt6_invariance_check,
+    witnessed_mutant,
 )
 from mubar.words import Word, left_normed, parse_word
 
@@ -289,7 +289,7 @@ class TestFindDetector:
 class TestTheoremMainWitness:
     def test_l6_witnesses(self):
         alpha = milnor_l6_system()
-        reports = theorem_main_witness(alpha, 6, "F")
+        _, reports = witnessed_mutant(alpha, 6, "F")
         assert reports
         for report in reports:
             assert report.modulus == 0
@@ -303,7 +303,7 @@ class TestTheoremMainWitness:
         alpha = LongitudeSystem(
             2, 7, (left_normed(2, 1, 1, 2, 1), left_normed(1, 2, 2, 1, 2))
         )
-        reports = theorem_main_witness(alpha, 6, "F")
+        _, reports = witnessed_mutant(alpha, 6, "F")
         for report in reports:
             expected = mu(alpha, report.index) - mu(
                 alpha, transform_index(report.index, "F")
@@ -312,7 +312,7 @@ class TestTheoremMainWitness:
             assert report.congruent
 
     def test_trivial_alpha_vacuous(self):
-        assert theorem_main_witness(trivial(7), 6, "F") == []
+        assert witnessed_mutant(trivial(7), 6, "F") == (None, [])
 
 
 class TestApplyMutation:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import mubar.magnus
 import mubar.milnor
+import mubar.surgery
 from mubar.corpus import (
     borromean_pd,
     hopf_pd,
@@ -18,7 +19,6 @@ from mubar.surgery import (
     MutativePairReport,
     lcq_is_free,
     mutative_pair_report,
-    self_mutation_ninth_quotient,
 )
 from mubar.magnus import lcs_depth
 from mubar.words import Word, commutator, left_normed
@@ -28,7 +28,7 @@ def mutative_pair_report_oracle(
     alpha: LongitudeSystem, q: int, tau: str
 ) -> MutativePairReport:
     """The pair report before it took its witnesses from
-    theorem_main_witness; its body is verbatim."""
+    witnessed_mutant; its body is verbatim."""
     detectors = find_detector(alpha, q, tau)
     if not detectors:
         return MutativePairReport(q=q, mutation=tau, found=False)
@@ -86,6 +86,26 @@ class TestLcqIsFree:
         system = longitudes_mod_q(borromean_pd(), 3)
         report = lcq_is_free(system, 3)
         assert not report.free
+
+    def test_shallow_relator_against_free_scan_raises(self, monkeypatch):
+        system = longitudes_mod_q(unlink_pd(2), 4)
+        monkeypatch.setattr(mubar.surgery, "lcs_depth", lambda w, q: 1)
+        with pytest.raises(RuntimeError) as info:
+            lcq_is_free(system, 3)
+        assert str(info.value) == (
+            "free-nilpotence routes disagree at q=3: "
+            "mu-bar witness None, relator 1"
+        )
+
+    def test_scan_witness_against_deep_relators_raises(self, monkeypatch):
+        system = longitudes_mod_q(unlink_pd(2), 4)
+        monkeypatch.setattr(mubar.surgery, "first_nonvanishing", lambda s, q: (1, 2))
+        with pytest.raises(RuntimeError) as info:
+            lcq_is_free(system, 3)
+        assert str(info.value) == (
+            "free-nilpotence routes disagree at q=3: "
+            "mu-bar witness (1, 2), relator None"
+        )
 
 
 _letters = st.tuples(st.integers(1, 3), st.sampled_from((1, -1)))
@@ -169,23 +189,3 @@ class TestMutativePairAgainstOracle:
         assert mutative_pair_report(alpha, q, tau) == mutative_pair_report_oracle(
             alpha, q, tau
         )
-
-
-class TestNinthQuotientHeadline:
-    def test_paper_instance(self):
-        report = self_mutation_ninth_quotient()
-        assert report["mu_bar"] == -20
-        assert report["weight"] == 9
-        assert report["ribbon_sum_quotient_free"] is True
-        assert report["mutant_quotient_free"] is False
-        coeffs = {t["linking"]: t["coeff"] for t in report["expansion"]}
-        assert coeffs == {
-            "lk(yyxy,(yxy,xy))": -20,
-            "lk(yyxy,yxyxy)": -20,
-            "lk(yyxy,yyxxy)": -20,
-        }
-
-    def test_zero_values_mean_free(self):
-        report = self_mutation_ninth_quotient(values={})
-        assert report["mu_bar"] == 0
-        assert report["mutant_quotient_free"] is True
