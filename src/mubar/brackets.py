@@ -38,9 +38,10 @@ massey_sum() expands a mu-bar invariant of weight q as the signed sum
 of lk(w, x_{i_q}) over all binary parenthesizations w of the first
 q-1 letters, collected as an integer combination of canonical minimal
 linkings; evaluate_detailed() substitutes numeric values for them,
-counting absent ones as 0 and listing them.  It does not list the
-parenthesizations: an interval DP counts them by form, with signs, and
-canonicalizes one tree per surviving form.
+keyed by ``lk(u,v)`` strings, counting absent ones as 0 and listing
+them.  massey_sum() does not list the parenthesizations: an interval
+DP counts them by form, with signs, and canonicalizes one tree per
+surviving form.
 
 Where letters repeat, many bracketings share a form: massey_sum takes
 about 0.003 s at weight 10 (1212121212) and 0.02 s at weight 12
@@ -455,27 +456,26 @@ def massey_sum(index) -> LinkingExpr:
 def evaluate_detailed(expr: LinkingExpr, values: dict) -> tuple[int, list[str]]:
     """Evaluation plus the display forms of terms that defaulted to 0.
 
-    Keys of values may be ``lk(u,v)`` strings in any equivalent form or
-    bracket trees; each is canonicalized (with its sign) before lookup,
-    all through one Canonicalizer.
+    Keys of values are ``lk(u,v)`` strings in any equivalent form, as
+    JSON object keys are; each is canonicalized (with its sign) before
+    lookup, all through one Canonicalizer.
     """
     if not isinstance(values, dict):
         raise ParseError("linking values must be a mapping lk(u,v) -> integer")
     canon = Canonicalizer()
     canon_values: dict[Bracket, int] = {}
     for key, val in values.items():
+        if not isinstance(key, str):
+            raise ParseError(f"linking value key {key!r} is not an lk(u,v) string")
         # No massey_sum term is heavier than the cap, and the parser and
         # canonicalize recurse as deep as the key, so weigh it first.
-        if isinstance(key, str):
-            key_weight = sum(ch in LETTERS for ch in key)
-        else:
-            key_weight = weight(key)
+        key_weight = sum(ch in LETTERS for ch in key)
         if key_weight > WEIGHT_CAP:
             raise PreconditionError(
                 f"linking value key of weight {key_weight} exceeds the "
                 f"cap WEIGHT_CAP = {WEIGHT_CAP}"
             )
-        tree = parse_linking(key) if isinstance(key, str) else key
+        tree = parse_linking(key)
         value = strict_int(val, f"linking value for {render_linking(tree)}")
         rep, s = canon.canonicalize(tree)
         if s == 0:

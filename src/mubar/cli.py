@@ -4,7 +4,8 @@ Every verb is a thin shell over one library operation and emits a JSON
 report on stdout (sorted keys, canonical term orders, so identical
 invocations are byte-identical); ``--format text`` renders the same
 report as indented key/value lines.  Exit codes: 0 success, 1 bad
-usage, 2 unparsable input file, 3 violated precondition.
+usage, 2 unparsable input file (including one that is not UTF-8 or
+nests JSON too deeply), 3 violated precondition.
 
 Link inputs may be longitude-system JSON ({m, depth, longitudes}),
 PD-code JSON ({m, components, crossings}) or braid text (``n; A12
@@ -61,22 +62,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    """The text of a file, read and reported as pathlib.Path would.
+    """The UTF-8 text of a file, read and reported as pathlib.Path would.
 
     pathlib costs start-up time, so only a failed open falls back to it:
     it opens the normalized path ("./a" as "a", "a/" as "a"), and its
     outcome and error message name that path.  An empty path is no file,
-    not the working directory that pathlib reads it as.
+    not the working directory that pathlib reads it as.  Bytes that are
+    not UTF-8 are a ParseError naming ``path``, whatever the locale.
     """
     try:
-        with open(path) as f:
-            return f.read()
-    except OSError:
-        if not path:
-            raise
-        from pathlib import Path
+        try:
+            with open(path, encoding="utf-8") as f:
+                return f.read()
+        except OSError:
+            if not path:
+                raise
+            from pathlib import Path
 
-        return Path(path).read_text()
+            return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_system(path: str, depth: int) -> LongitudeSystem:
@@ -88,7 +93,9 @@ def load_system(path: str, depth: int) -> LongitudeSystem:
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, nesting past the recursion limit, or an
+            # integer longer than int() converts
             raise ParseError(f"{path}: {exc}") from exc
         if "longitudes" in data:
             words = data["longitudes"]
@@ -198,9 +205,10 @@ def cmd_massey_sum(args) -> dict:
         "terms": expr.to_json(),
     }
     if args.values is not None:
+        text = _read_text(args.values)
         try:
-            values = json.loads(_read_text(args.values))
-        except json.JSONDecodeError as exc:
+            values = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{args.values}: {exc}") from exc
         total, missing = evaluate_detailed(expr, values)
         out["value"] = total
@@ -240,7 +248,7 @@ def _render_text(data, indent: int = 0) -> list[str]:
                 lines.extend(_render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {value}")
-    elif isinstance(data, list):
+    else:
         for item in data:
             if isinstance(item, (dict, list)):
                 lines.extend(_render_text(item, indent + 1))
@@ -249,8 +257,6 @@ def _render_text(data, indent: int = 0) -> list[str]:
                 lines.append(f"{pad}- {item}")
         while lines and lines[-1] == "":
             lines.pop()
-    else:
-        lines.append(f"{pad}{data}")
     return lines
 
 

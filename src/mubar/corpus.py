@@ -31,7 +31,7 @@ from .links import (
     reorder,
 )
 from .milnor import LongitudeSystem
-from .words import commutator, generator, left_normed
+from .words import commutator, format_word, generator, left_normed
 
 STAR_LINKING_VALUES = {"lk(yyxy,(yxy,xy))": 1}
 
@@ -162,10 +162,14 @@ def corpus_files() -> dict[str, str]:
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
     l6 = milnor_l6_system()
-    l6_json = l6.to_json()
-    l6_json["metadata"] = {
-        "derivation": "transcribed longitude words; gate: weights < 6 vanish, "
-        "mu-bar(112222) = -1, mu-bar(221111) = 0"
+    l6_json = {
+        "m": l6.m,
+        "depth": l6.depth,
+        "longitudes": [format_word(w) for w in l6.longitudes],
+        "metadata": {
+            "derivation": "transcribed longitude words; gate: weights < 6 "
+            "vanish, mu-bar(112222) = -1, mu-bar(221111) = 0"
+        },
     }
     return {
         "unlink.json": dumps(unlink_pd().to_json()),

@@ -90,12 +90,6 @@ class PDCode:
                 if arc not in seen:
                     raise ParseError(f"crossing {k} uses unknown arc {arc}")
 
-    def component_of(self, arc: int) -> int:
-        for i, comp in enumerate(self.components, start=1):
-            if arc in comp:
-                return i
-        raise ParseError(f"arc {arc} belongs to no component")
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -174,28 +168,6 @@ def _trace(pd: PDCode) -> list[list[tuple[str, int]]]:
             f"component walk"
         )
     return walks
-
-
-def linking_matrix(pd: PDCode) -> list[list[int]]:
-    """Pairwise linking numbers off-diagonal, self-writhe on the diagonal."""
-    _trace(pd)  # validates the code
-    mat = [[0] * pd.m for _ in range(pd.m)]
-    pair_sum: dict[tuple[int, int], int] = {}
-    for x in pd.crossings:
-        cu = pd.component_of(x.under_in)
-        co = pd.component_of(next(iter(x.over_pair)))
-        if cu == co:
-            mat[cu - 1][cu - 1] += x.sign
-        else:
-            key = (min(cu, co), max(cu, co))
-            pair_sum[key] = pair_sum.get(key, 0) + x.sign
-    for (i, j), total in pair_sum.items():
-        if total % 2 != 0:
-            raise ParseError(
-                f"odd crossing-sign sum {total} between components {i},{j}"
-            )
-        mat[i - 1][j - 1] = mat[j - 1][i - 1] = total // 2
-    return mat
 
 
 def _zero_framed(w: Word, i: int) -> Word:

@@ -24,7 +24,7 @@ Coefficients are plain Python integers, hence arbitrary precision.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress
 from operator import add, sub
 
 from .errors import PreconditionError
@@ -72,6 +72,17 @@ def _position(mono: Monomial, m: int) -> int:
     return pos
 
 
+def _nonzero(level: list[int], d: int, m: int):
+    """(monomial, coefficient) of each nonzero entry of a degree-d level,
+    its position decoded as the inverse of :func:`_position`."""
+    for pos in compress(range(len(level)), level):
+        letters, rest = [], pos
+        for _ in range(d):
+            rest, digit = divmod(rest, m)
+            letters.append(digit + 1)
+        yield tuple(letters), level[pos]
+
+
 class NCSeries:
     """Dense series: ``levels[d]`` holds the m^d coefficients of degree d."""
 
@@ -116,10 +127,7 @@ class NCSeries:
         """Nonzero coefficients by monomial, in shortlex order."""
         out: dict[Monomial, int] = {}
         for d, level in enumerate(self.levels):
-            for mono in product(range(1, self.width + 1), repeat=d):
-                coeff = level[_position(mono, self.width)]
-                if coeff:
-                    out[mono] = coeff
+            out.update(sorted(_nonzero(level, d, self.width)))
         return out
 
     def __eq__(self, other) -> bool:
@@ -143,6 +151,16 @@ class NCSeries:
         if not all(1 <= i <= self.width for i in mono):
             return 0
         return self.levels[len(mono)][_position(mono, self.width)]
+
+    def least_monomial(self, d: int) -> Monomial | None:
+        """Lexicographically least degree-d monomial with a nonzero
+        coefficient, or None.
+
+        A position's digits are its monomial's letters least significant
+        first, so the least position is not the least monomial once d > 1.
+        """
+        nonzero = _nonzero(self.levels[d], d, self.width)
+        return min((mono for mono, _ in nonzero), default=None)
 
     def min_nonconstant_degree(self) -> int | None:
         for d in range(1, self.degree_bound):
@@ -219,7 +237,5 @@ def lcs_depth(w: Word, q: int) -> int:
     Returns min(q, lowest nonconstant degree of the expansion); q means
     no nonconstant term of degree < q survives, i.e. w lies in F_q.
     """
-    if q < 2:
-        raise PreconditionError("degree bound must be at least 2")
     d = magnus_expand(w, q).min_nonconstant_degree()
     return q if d is None else d

@@ -7,6 +7,8 @@ I = i_1...i_k j, mu(I) is the coefficient of X_{i_1}...X_{i_k} in the
 Magnus expansion of the j-th longitude.  Delta(I) is the gcd of mu(J)
 over all J obtained by deleting at least one entry of I and cyclically
 rotating the rest, and mu-bar is the residue class of mu modulo Delta.
+Every read goes through :meth:`LongitudeSystem.expansion`, which expands
+each longitude once, at the system's depth.
 
 Weight-1 values are taken to be 0 and weight-1 indices are rejected.
 An index of weight w is meaningful only when w <= depth - 1.
@@ -15,12 +17,12 @@ An index of weight w is meaningful only when w <= depth - 1.
 from __future__ import annotations
 
 import math
-from itertools import combinations, compress
+from itertools import combinations
 
 from .errors import ParseError, PreconditionError
 from .magnus import NCSeries, check_term_budget, magnus_expand
 from .records import frozen_record
-from .words import Word, format_word
+from .words import Word
 
 Index = tuple[int, ...]
 
@@ -91,12 +93,12 @@ class LongitudeSystem:
             )
         return LongitudeSystem(self.m, depth, self.longitudes)
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "depth": self.depth,
-            "longitudes": [format_word(w) for w in self.longitudes],
-        }
+    def expansion(self, j: int) -> NCSeries:
+        """Magnus expansion of longitude j at the system's depth, made once."""
+        cache = self._expansions
+        if j not in cache:
+            cache[j] = magnus_expand(self.longitudes[j - 1], self.depth)
+        return cache[j]
 
 
 @frozen_record
@@ -106,13 +108,6 @@ class MuValue:
     mu: int
     delta: int
     residue: int
-
-
-def _expansion(system: LongitudeSystem, j: int) -> NCSeries:
-    cache: dict[int, NCSeries] = system._expansions  # type: ignore[attr-defined]
-    if j not in cache:
-        cache[j] = magnus_expand(system.longitudes[j - 1], system.depth)
-    return cache[j]
 
 
 def validate_index(system: LongitudeSystem, index) -> Index:
@@ -139,7 +134,7 @@ def check_weight(system: LongitudeSystem, weight: int):
 def _mu_raw(system: LongitudeSystem, index: Index) -> int:
     # Coefficient read without the invariance bound; safe for weights up
     # to depth since degree <= depth-1 terms are determined by the coset.
-    return _expansion(system, index[-1]).coefficient(index[:-1])
+    return system.expansion(index[-1]).coefficient(index[:-1])
 
 
 def mu(system: LongitudeSystem, index) -> int:
@@ -191,42 +186,24 @@ def first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
     least index with nonzero residue is the least one with nonzero mu,
     and no Delta is computed.
 
-    Weight w reads each longitude's degree w - 1 level whole and skips
-    the zero ones; only the witness weight decodes positions into
-    indices.  Reads coefficients without the validity check, so q may
-    equal the system depth but not exceed it; None for q < 2.
+    Weight w takes each longitude's least degree w - 1 monomial
+    (NCSeries.least_monomial), which skips a zero level without
+    decoding it.  Reads coefficients without the validity check, so q
+    may equal the system depth but not exceed it; None for q < 2.
     """
     if q > system.depth:
         raise PreconditionError(
             f"weight {q} exceeds the system depth {system.depth}"
         )
     for d in range(1, q):
-        found = []
-        for j in range(1, system.m + 1):
-            series = _expansion(system, j)
-            if any(series.levels[d]):
-                found.append(_least_monomial(series, d) + (j,))
+        found = [
+            mono + (j,)
+            for j in range(1, system.m + 1)
+            if (mono := system.expansion(j).least_monomial(d)) is not None
+        ]
         if found:
             return min(found)
     return None
-
-
-def _least_monomial(series: NCSeries, d: int) -> Index:
-    """Lexicographically least degree-d monomial with a nonzero coefficient.
-
-    A position's base-width digits, least significant first, are the
-    monomial's letters in order, so the numerically least position is
-    not the least monomial once d > 1.
-    """
-    m, level = series.width, series.levels[d]
-    monomials = []
-    for pos in compress(range(len(level)), level):
-        letters = []
-        for _ in range(d):
-            pos, digit = divmod(pos, m)
-            letters.append(digit + 1)
-        monomials.append(tuple(letters))
-    return min(monomials)
 
 
 def all_vanish_up_to(system: LongitudeSystem, q: int) -> bool:

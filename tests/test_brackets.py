@@ -814,6 +814,12 @@ class TestEvaluate:
         with pytest.raises(ParseError, match="integer"):
             evaluate_detailed(expr, {"lk(xy,xy)": "lots"})
 
+    def test_keys_must_be_strings(self):
+        # JSON object keys are strings; a bracket tree is not a key
+        expr = massey_sum((1, 2))
+        with pytest.raises(ParseError, match=r"key \(1, 2\) is not an lk\(u,v\) string"):
+            evaluate_detailed(expr, {(1, 2): 1})
+
     def test_values_must_be_integers(self):
         expr = massey_sum((1, 2))
         for bad in (1.5, True, float("inf"), float("-inf"), float("nan")):

@@ -5,13 +5,17 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mubar import cli
 from mubar.cli import main
-from mubar.corpus import hopf_pd
+from mubar.corpus import corpus_files, hopf_pd
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -408,6 +412,165 @@ class TestErrorsAndFormats:
         assert code == 0
         assert "mu: 1" in out
         assert "{" not in out
+
+
+def _pd_text(**fields) -> str:
+    return json.dumps({**hopf_pd().to_json(), **fields})
+
+
+_HOPF_CROSSINGS = hopf_pd().to_json()["crossings"]
+_MU = ("mu", "--index", "12", "--link")
+_MASSEY = ("massey-sum", "--index", "12", "--values")
+
+# name -> (argv before the file, file text or None for no file, exit
+# code, stderr line with {path} for the file, or None for success); no
+# other test reaches these input checks
+INPUT_CHECKS = {
+    "empty": (_MU, "", 2, "parse error: {path}: empty input"),
+    "neither": (
+        _MU, json.dumps({"m": 2, "depth": 3}), 2,
+        "parse error: {path}: JSON is neither a longitude system nor a PD code",
+    ),
+    "system-m0": (
+        _MU, json.dumps({"m": 0, "depth": 3, "longitudes": []}), 2,
+        "parse error: {path}: component count must be positive",
+    ),
+    "system-depth1": (
+        _MU, json.dumps({"m": 2, "depth": 1, "longitudes": ["x2", "x1"]}), 2,
+        "parse error: {path}: depth must be at least 2",
+    ),
+    "system-one-longitude": (
+        _MU, json.dumps({"m": 2, "depth": 3, "longitudes": ["x2"]}), 2,
+        "parse error: {path}: expected 2 longitudes, got 1",
+    ),
+    "system-not-framed": (
+        _MU, json.dumps({"m": 2, "depth": 3, "longitudes": ["x1", "e"]}), 2,
+        "parse error: {path}: longitude 1 is not 0-framed: exponent sum of x1 is 1",
+    ),
+    "pd-sign2": (
+        _MU, _pd_text(crossings=[{"arcs": [1, 3, 2, 4], "sign": 2}, _HOPF_CROSSINGS[1]]), 2,
+        "parse error: malformed PD code: crossing sign must be +-1, got 2",
+    ),
+    "pd-m3": (
+        _MU, _pd_text(m=3), 2, "parse error: malformed PD code: m=3 but 2 components given",
+    ),
+    "pd-empty-component": (
+        _MU, _pd_text(m=3, components=[[1, 2], [3, 4], []]), 2,
+        "parse error: malformed PD code: empty component",
+    ),
+    "pd-crossing-not-consumed": (
+        _MU, _pd_text(crossings=_HOPF_CROSSINGS + _HOPF_CROSSINGS[:1]), 2,
+        "parse error: crossing(s) [2] not consumed by any component walk",
+    ),
+    "braid-no-strands": (_MU, "0;", 2, "parse error: strand count must be positive"),
+    "braid-bad-count": (_MU, "x; A12", 2, "parse error: bad strand count 'x'"),
+    "braid-bad-generator": (
+        _MU, "3; A14", 2, "parse error: bad pure braid generator A1,4",
+    ),
+    "depth-below-required": (
+        ("mu", "--index", "12", "--depth", "2", "--link"), _pd_text(), 3,
+        "precondition violated: --depth 2 is below the required 3",
+    ),
+    "values-not-json": (
+        _MASSEY, "{not json", 2,
+        "parse error: {path}: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    "values-key-unbalanced": (
+        _MASSEY, json.dumps({"xy)": 1}), 2, "parse error: unexpected ')' at position 2",
+    ),
+    "values-key-with-space": (_MASSEY, json.dumps({"x y": 1}), 0, None),
+    "massey-weight-1": (
+        ("massey-sum", "--index", "1"), None, 3,
+        "precondition violated: massey_sum needs weight >= 2",
+    ),
+    "massey-letter-13": (
+        ("massey-sum", "--index", "1,13"), None, 3,
+        "precondition violated: index entries must lie in 1..12 to render as letters",
+    ),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("name", list(INPUT_CHECKS))
+    def test_exit_code_and_message(self, tmp_path, capsys, name):
+        argv, text, code, message = INPUT_CHECKS[name]
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+            argv = (*argv, str(path))
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if message is None:
+            assert json.loads(out)["value"] == 1
+            assert err == ""
+        else:
+            assert out == ""
+            assert err == "mubar: " + message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize("argv", [_MU, _MASSEY], ids=["link", "values"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'{"m": ' + b"[" * 100_000, "maximum recursion depth exceeded"),
+            (b'{"m": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        ],
+        ids=["not-utf8", "nested-100000", "int-5000-digits"],
+    )
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, argv, content, reason):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"mubar: parse error: {path}: {reason}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# every verb that reads a link file, then massey-sum reading values
+_READERS = (
+    ("mu", "--index", "12", "--link"),
+    ("mu-bar", "--index", "112", "--link"),
+    ("lcq", "--q", "3", "--link"),
+    ("vanish-up-to", "--weight", "3", "--link"),
+    ("massey-sum", "--index", "122121222", "--values"),
+)
+_CORPUS = {name: text.encode() for name, text in corpus_files().items()}
+# (position, byte): replace the byte there, or insert it when the
+# position is past the end of the file; byte -1 deletes
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(-1, 255)), min_size=1, max_size=4
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for pos, byte in edits:
+        if byte < 0:
+            del out[pos % len(out) : pos % len(out) + 1]
+        elif pos < len(out):
+            out[pos] = byte
+        else:
+            out.insert(pos % (len(out) + 1), byte)
+    return bytes(out)
+
+
+class TestMutatedFiles:
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=150,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(sorted(_CORPUS)), _EDITS)
+    def test_readers_exit_0_2_or_3(self, tmp_path, name, edits):
+        # the file is rewritten for every example
+        path = tmp_path / name
+        path.write_bytes(_mutate(_CORPUS[name], edits))
+        for argv in _READERS:
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                code = main([*argv, str(path)])
+            assert code in (0, 2, 3), (argv, path.read_bytes())
 
 
 class TestDepthHandling:

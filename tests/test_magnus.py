@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from mubar.errors import PreconditionError
 from mubar.magnus import (
     NCSeries,
+    _position,
     check_term_budget,
     check_work_budget,
     lcs_depth,
@@ -354,6 +356,39 @@ class TestWidth:
             NCSeries(3, {(3,): 1}, width=2)
         with pytest.raises(ValueError, match="below X1"):
             NCSeries(3, {(0,): 1})
+
+
+def product_terms(s: NCSeries) -> dict[Monomial, int]:
+    """NCSeries.terms before it decoded positions, verbatim apart from
+    the name: every monomial of each degree, in shortlex order."""
+    out: dict[Monomial, int] = {}
+    for d, level in enumerate(s.levels):
+        for mono in product(range(1, s.width + 1), repeat=d):
+            coeff = level[_position(mono, s.width)]
+            if coeff:
+                out[mono] = coeff
+    return out
+
+
+class TestDecode:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(words, bounds, st.integers(0, 2))
+    def test_terms_and_least_monomial(self, w, q, extra):
+        s = magnus_expand(w, q)
+        s = NCSeries(q, s.terms, width=s.width + extra)
+        assert list(s.terms.items()) == list(product_terms(s).items())
+        for d in range(q):
+            nonzero = [mono for mono in product_terms(s) if len(mono) == d]
+            assert s.least_monomial(d) == min(nonzero, default=None)
+
+    def test_least_position_is_not_least_monomial(self):
+        # (2, 1) sits at position 1 and (1, 3) at position 6
+        s = NCSeries(4, {(2, 1): 3, (1, 3): -1, (3,): 2}, width=3)
+        assert s.least_monomial(2) == (1, 3)
+        assert s.least_monomial(1) == (3,)
+        assert s.least_monomial(0) is None
+        assert s.least_monomial(3) is None
+        assert list(s.terms) == [(3,), (1, 3), (2, 1)]
 
 
 class TestTermBudget:
