@@ -5,7 +5,12 @@ all, and well-formed input that violates a documented precondition
 (insufficient truncation depth, component out of range, and so on).
 The CLI maps them to distinct exit codes.  strict_int reads the
 integer fields of input files, which JSON may give as bools or floats.
+Messages quote offending input through shown(), so one oversized field
+or token cannot make an error line as long as the input.
 """
+
+# Most characters of an offending value's repr that a message quotes.
+SHOWN_CHARS = 40
 
 
 class ParseError(ValueError):
@@ -14,6 +19,14 @@ class ParseError(ValueError):
 
 class PreconditionError(ValueError):
     """Raised when an operation's documented precondition is violated."""
+
+
+def shown(value) -> str:
+    """repr(value), cut after SHOWN_CHARS characters with the cut marked."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def strict_int(value, what: str) -> int:
@@ -29,4 +42,4 @@ def strict_int(value, what: str) -> int:
             return int(value)
         except (TypeError, ValueError):
             pass
-    raise ParseError(f"{what} is not an integer: {value!r}")
+    raise ParseError(f"{what} is not an integer: {shown(value)}")

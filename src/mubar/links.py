@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, PreconditionError, strict_int
+from .errors import ParseError, PreconditionError, shown, strict_int
 from .magnus import check_term_budget, check_work_budget
 from .milnor import LongitudeSystem
 from .records import frozen_record
@@ -281,12 +281,12 @@ def parse_braid(text: str) -> PureBraidWord:
     try:
         strands = int(head.strip())
     except ValueError as exc:
-        raise ParseError(f"bad strand count {head.strip()!r}") from exc
+        raise ParseError(f"bad strand count {shown(head.strip())}") from exc
     letters: list[tuple[int, int, int]] = []
     for pos, token in enumerate(rest.split()):
         m = _BRAID_TOKEN.match(token)
         if m is None:
-            raise ParseError(f"bad braid token {token!r} (position {pos})")
+            raise ParseError(f"bad braid token {shown(token)} (position {pos})")
         if m.group(1) is not None:
             i, j = int(m.group(1)), int(m.group(2))
         else:

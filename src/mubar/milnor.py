@@ -144,6 +144,13 @@ def mu(system: LongitudeSystem, index) -> int:
     return _mu_raw(system, entries)
 
 
+# Most rotations delta may enumerate: k 2^(k-1) - 2k for an index of
+# weight k, before duplicates go.  Weight 19, the most TERM_BUDGET
+# admits on two components, makes 4,980,698 (about 3 s); one component
+# admits depths up to 2^20, and the count doubles with every letter.
+SUBINDEX_BUDGET = 5_000_000
+
+
 def proper_cyclic_subindices(index: Index) -> set[Index]:
     """All rotations of order-preserving subsequences of length 2..|I|-1."""
     k = len(index)
@@ -159,7 +166,13 @@ def proper_cyclic_subindices(index: Index) -> set[Index]:
 def delta(system: LongitudeSystem, index) -> int:
     """gcd of mu over proper cyclic subindices; 0 for the empty set."""
     entries = validate_index(system, index)
-    check_weight(system, len(entries))
+    k = len(entries)
+    check_weight(system, k)
+    if k * 2 ** (k - 1) - 2 * k > SUBINDEX_BUDGET:
+        raise PreconditionError(
+            f"an index of weight {k} has more than SUBINDEX_BUDGET = "
+            f"{SUBINDEX_BUDGET} cyclic subindices"
+        )
     g = 0
     for sub in proper_cyclic_subindices(entries):
         g = math.gcd(g, _mu_raw(system, sub))

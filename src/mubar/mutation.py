@@ -160,23 +160,19 @@ def normalize_linking(
 ) -> tuple[LongitudeSystem, LongitudeSystem]:
     """Shift the linking number of beta onto alpha by cancelling twists.
 
-    Full twists are appended to alpha and prepended to beta so that the
-    composite words, hence all mu values of the connected sum, are
-    unchanged verbatim, while lk(beta') = 0 and lk(alpha') = lk(sum).
+    Twists T(k) (longitudes x2^k, x1^k) are summed after alpha and T(-k)
+    before beta, so that the composite words, hence all mu values of the
+    sum, are unchanged verbatim, while lk(beta') = 0, lk(alpha') = lk(sum).
     """
     _require_compatible(alpha, beta)
     k = beta.linking(1, 2)
     if k == 0:
         return alpha, beta
-    a1, a2 = alpha.longitudes
-    b1, b2 = beta.longitudes
-    alpha2 = LongitudeSystem(
-        2, alpha.depth, (a1 * generator(2) ** k, a2 * generator(1) ** k)
-    )
-    beta2 = LongitudeSystem(
-        2, beta.depth, (generator(2) ** (-k) * b1, generator(1) ** (-k) * b2)
-    )
-    return alpha2, beta2
+
+    def twists(n: int) -> LongitudeSystem:
+        return LongitudeSystem(2, alpha.depth, (generator(2) ** n, generator(1) ** n))
+
+    return connected_sum(alpha, twists(k)), connected_sum(twists(-k), beta)
 
 
 def weight_lt6_invariance_check(

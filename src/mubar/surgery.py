@@ -5,7 +5,7 @@ fundamental group's lower central quotient as F/<F_q, w_1, ..., w_m>
 with the longitude words as relators.  That quotient is the free
 nilpotent group F/F_q exactly when all mu-bar invariants of weight
 <= q vanish, equivalently when every relator lies in F_q; both routes
-are computed independently here and must agree.
+read the system's cached expansions, independently, and must agree.
 
 A mutative pair is a ribbon sum alpha # inverse_mirror(alpha) together
 with one of its bi-mutants: when a detector index exists, the sum's
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from .errors import PreconditionError
 from .links import inverse_mirror
-from .magnus import lcs_depth
 from .milnor import (
     Index,
     LongitudeSystem,
@@ -39,7 +38,7 @@ class LcqReport:
     q: int
     free: bool
     witness_index: Index | None
-    witness_relator: int | None  # 1-based component with lcs_depth < q
+    witness_relator: int | None  # 1-based component not in F_q
 
     def to_json(self) -> dict:
         return {
@@ -58,7 +57,8 @@ def lcq_is_free(system: LongitudeSystem, q: int) -> LcqReport:
     """Is pi_1(M_L)/pi_1(M_L)_q free nilpotent of rank m?
 
     Route A checks that every mu-bar residue of weight <= q vanishes;
-    route B checks that every relator has lcs_depth >= q.  The two are
+    route B checks that every relator's cached expansion has no
+    nonconstant term of degree < q, i.e. that it lies in F_q.  The two are
     equivalent and both are evaluated; the report carries the shortlex
     least failing index and the first shallow relator when not free.
     """
@@ -72,8 +72,9 @@ def lcq_is_free(system: LongitudeSystem, q: int) -> LcqReport:
     route_a = witness is None
 
     witness_relator = None
-    for i, w in enumerate(system.longitudes, start=1):
-        if lcs_depth(w, q) < q:
+    for i in range(1, system.m + 1):
+        d = system.expansion(i).min_nonconstant_degree()
+        if d is not None and d < q:
             witness_relator = i
             break
     route_b = witness_relator is None

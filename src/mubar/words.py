@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, shown
 from .records import frozen_record
 
 Letter = tuple[int, int]
@@ -150,10 +150,10 @@ def parse_word(text: str) -> Word:
             continue
         m = _TOKEN.match(token)
         if m is None:
-            raise ParseError(f"bad word token {token!r} (position {pos})")
+            raise ParseError(f"bad word token {shown(token)} (position {pos})")
         gen = int(m.group(1))
         if gen < 1:
-            raise ParseError(f"generator index must be >= 1 in {token!r}")
+            raise ParseError(f"generator index must be >= 1 in {shown(token)}")
         exp = int(m.group(2)) if m.group(2) is not None else 1
         if exp == 0:
             continue

@@ -527,6 +527,30 @@ class TestInputChecks:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (json.dumps({"m": "x" * 1_000_000, "depth": 3, "longitudes": ["e", "e"]}),
+             ": m is not an integer: 'xxx"),
+            (json.dumps({"m": 2, "depth": 3, "longitudes": ["x1" * 500_000, "e"]}),
+             "bad word token 'x1x1"),
+            ("2; " + "A" * 1_000_000, "bad braid token 'AAA"),
+        ],
+        ids=["strict-int", "word-token", "braid-token"],
+    )
+    def test_oversized_value_is_cut(self, tmp_path, capsys, text, named):
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, err = run(capsys, *_MU, str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200
+        assert named in err
+        assert "... (1000002 characters)" in err
+        if "token" in named:
+            assert err.endswith(" (position 0)\n")
+
+
 # every verb that reads a link file, then massey-sum reading values
 _READERS = (
     ("mu", "--index", "12", "--link"),
@@ -691,6 +715,27 @@ class TestWorkBudget:
         assert code == 3
         assert out == ""
         assert "WORK_BUDGET = 10000000000" in err
+
+
+class TestSubindexBudget:
+    @pytest.mark.parametrize("verb", ["mu-bar", "delta"])
+    @pytest.mark.parametrize("weight", [20, 30])
+    def test_one_component_long_index_exit_3(self, tmp_path, capsys, verb, weight):
+        # TERM_BUDGET admits depth 40 on one component; the rotations of
+        # a weight-20 index took about 5 s to enumerate
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"m": 1, "depth": 40, "longitudes": ["e"]}))
+        start = time.process_time()
+        code, out, err = run(capsys, verb, "--link", str(path), "--index", "1" * weight)
+        assert time.process_time() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            f"mubar: precondition violated: an index of weight {weight} has more "
+            "than SUBINDEX_BUDGET = 5000000 cyclic subindices\n"
+        )
+
+    def test_readme_names_the_budget(self):
+        assert "`mubar.milnor.SUBINDEX_BUDGET` = 5,000,000" in README.read_text()
 
 
 class TestStartup:

@@ -18,7 +18,9 @@ from mubar.errors import ParseError, PreconditionError
 from mubar.links import artin_longitudes, longitudes_mod_q
 from mubar.corpus import borromean_braid, hopf_braid, hopf_pd
 from mubar.magnus import lcs_depth
+import mubar.milnor
 from mubar.milnor import (
+    SUBINDEX_BUDGET,
     LongitudeSystem,
     _mu_raw,
     all_vanish_up_to,
@@ -397,3 +399,34 @@ class TestIndexText:
             parse_index("1a2")
         with pytest.raises(ParseError):
             parse_index("0,1")
+
+
+def _rotations(k: int) -> int:
+    # what proper_cyclic_subindices enumerates before duplicates go
+    return sum(math.comb(k, size) * size for size in range(2, k))
+
+
+class TestSubindexBudget:
+    def test_count_formula(self):
+        for k in range(2, 25):
+            assert _rotations(k) == k * 2 ** (k - 1) - 2 * k
+
+    def test_every_two_component_weight_answers(self):
+        # weight 19 is the most TERM_BUDGET admits on two components
+        assert _rotations(19) == 4_980_698 <= SUBINDEX_BUDGET < _rotations(20)
+
+    def test_boundary(self, monkeypatch):
+        # a budget of exactly the weight-6 count admits weight 6, not 7
+        monkeypatch.setattr(mubar.milnor, "SUBINDEX_BUDGET", _rotations(6))
+        system = LongitudeSystem(1, 9, (Word(),))
+        assert delta(system, (1,) * 6) == 0
+        with pytest.raises(PreconditionError, match=f"SUBINDEX_BUDGET = {_rotations(6)}"):
+            delta(system, (1,) * 7)
+
+    def test_weight_19_reaches_enumeration(self, monkeypatch):
+        # without enumerating: the check passes weight 19 on to the
+        # rotations, and refuses weight 20 before them
+        monkeypatch.setattr(mubar.milnor, "proper_cyclic_subindices", lambda index: set())
+        assert delta(LongitudeSystem(2, 20, (Word(), Word())), (1, 2) * 9 + (1,)) == 0
+        with pytest.raises(PreconditionError, match="SUBINDEX_BUDGET"):
+            delta(LongitudeSystem(1, 21, (Word(),)), (1,) * 20)

@@ -34,7 +34,30 @@ from mubar.mutation import (
     weight_lt6_invariance_check,
     witnessed_mutant,
 )
-from mubar.words import Word, left_normed, parse_word
+from mubar.words import Word, generator, left_normed, parse_word
+
+
+# ---------------------------------------------------------------------------
+# Oracle: normalize_linking before it summed twist systems; the body is
+# verbatim.
+
+
+def normalize_linking_oracle(
+    alpha: LongitudeSystem, beta: LongitudeSystem
+) -> tuple[LongitudeSystem, LongitudeSystem]:
+    _require_compatible(alpha, beta)
+    k = beta.linking(1, 2)
+    if k == 0:
+        return alpha, beta
+    a1, a2 = alpha.longitudes
+    b1, b2 = beta.longitudes
+    alpha2 = LongitudeSystem(
+        2, alpha.depth, (a1 * generator(2) ** k, a2 * generator(1) ** k)
+    )
+    beta2 = LongitudeSystem(
+        2, beta.depth, (generator(2) ** (-k) * b1, generator(1) ** (-k) * b2)
+    )
+    return alpha2, beta2
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +247,18 @@ class TestNormalizeLinking:
             beta = random_realized_system(rng, depth=5)
             alpha2, beta2 = normalize_linking(alpha, beta)
             assert connected_sum(alpha2, beta2) == connected_sum(alpha, beta)
+
+    def test_matches_oracle_words(self):
+        rng = random.Random(83)
+        for k in (-3, -2, -1, 1, 2, 3):
+            for _ in range(5):
+                depth = rng.randint(3, 6)
+                alpha = random_realized_system(rng, depth=depth)
+                beta = random_realized_system(rng, depth=depth, linking=k)
+                assert beta.linking(1, 2) == k
+                assert normalize_linking(alpha, beta) == normalize_linking_oracle(
+                    alpha, beta
+                )
 
 
 class TestWeightLt6:

@@ -1,3 +1,7 @@
+import random
+from contextlib import redirect_stdout
+from io import StringIO
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,14 +9,25 @@ from hypothesis import strategies as st
 import mubar.magnus
 import mubar.milnor
 import mubar.surgery
+from mubar.cli import main
 from mubar.corpus import (
+    borromean_braid,
     borromean_pd,
+    corpus_files,
+    hopf_braid,
     hopf_pd,
     milnor_l6_system,
+    random_realized_system,
     unlink_pd,
 )
 from mubar.errors import PreconditionError
-from mubar.links import connected_sum, inverse_mirror, longitudes_mod_q
+from mubar.links import (
+    PureBraidWord,
+    artin_longitudes,
+    connected_sum,
+    inverse_mirror,
+    longitudes_mod_q,
+)
 from mubar.milnor import LongitudeSystem
 from mubar.mutation import MUTATION_TYPES, apply_mutation, find_detector, mutant_mu
 from mubar.surgery import (
@@ -22,6 +37,15 @@ from mubar.surgery import (
 )
 from mubar.magnus import lcs_depth
 from mubar.words import Word, commutator, left_normed
+
+
+def route_b_oracle(system: LongitudeSystem, q: int) -> int | None:
+    """Route B of lcq_is_free before it read the cached expansions: the
+    first relator with lcs_depth < q, each word expanded again at q."""
+    for i, w in enumerate(system.longitudes, start=1):
+        if lcs_depth(w, q) < q:
+            return i
+    return None
 
 
 def mutative_pair_report_oracle(
@@ -88,8 +112,11 @@ class TestLcqIsFree:
         assert not report.free
 
     def test_shallow_relator_against_free_scan_raises(self, monkeypatch):
+        # route A's scan reads least_monomial, so only route B sees this
         system = longitudes_mod_q(unlink_pd(2), 4)
-        monkeypatch.setattr(mubar.surgery, "lcs_depth", lambda w, q: 1)
+        monkeypatch.setattr(
+            mubar.magnus.NCSeries, "min_nonconstant_degree", lambda self: 1
+        )
         with pytest.raises(RuntimeError) as info:
             lcq_is_free(system, 3)
         assert str(info.value) == (
@@ -106,6 +133,85 @@ class TestLcqIsFree:
             "free-nilpotence routes disagree at q=3: "
             "mu-bar witness (1, 2), relator None"
         )
+
+
+def _corpus_systems():
+    l6 = milnor_l6_system(7)
+    return {
+        "unlink2": longitudes_mod_q(unlink_pd(2), 6),
+        "unlink3": longitudes_mod_q(unlink_pd(3), 5),
+        "hopf": longitudes_mod_q(hopf_pd(), 6),
+        "borromean": longitudes_mod_q(borromean_pd(), 6),
+        "hopf-braid": artin_longitudes(hopf_braid(), 6),
+        "borromean-braid": artin_longitudes(borromean_braid(), 6),
+        "l6": l6,
+        "l6-ribbon": connected_sum(l6, inverse_mirror(l6)),
+        "l6-mutant": connected_sum(l6, apply_mutation(inverse_mirror(l6), "F")),
+    }
+
+
+def _assert_routes_agree(system: LongitudeSystem):
+    for q in range(2, system.depth + 1):
+        report = lcq_is_free(system, q)
+        assert report.witness_relator == route_b_oracle(system, q), q
+
+
+class TestRouteBAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(_corpus_systems()))
+    def test_corpus(self, name):
+        _assert_routes_agree(_corpus_systems()[name])
+
+    def test_random_realized_past_q(self):
+        # the system's expansion runs to depth q..q+2, the oracle's to q
+        rng = random.Random(89)
+        for q in range(2, 7):
+            for depth in range(q, q + 3):
+                for _ in range(8):
+                    system = random_realized_system(rng, depth=depth)
+                    assert lcq_is_free(system, q).witness_relator == (
+                        route_b_oracle(system, q)
+                    )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(1, n - 1), st.integers(2, n), st.sampled_from((1, -1)))
+                    .filter(lambda t: t[0] < t[1]),
+                    max_size=6,
+                ),
+            )
+        ),
+        st.integers(2, 6),
+    )
+    def test_braid_closures(self, braid, depth):
+        strands, letters = braid
+        _assert_routes_agree(
+            artin_longitudes(PureBraidWord(strands, tuple(letters)), depth)
+        )
+
+
+class TestExpansionCount:
+    def test_lcq_expands_each_longitude_once(self, tmp_path, monkeypatch):
+        # l6 is free at q = 5, so route B reads both relators; it used to
+        # expand each word a second time, four calls in all
+        path = tmp_path / "l6.json"
+        path.write_text(corpus_files()["l6.json"])
+        calls = []
+        expand = mubar.magnus.magnus_expand
+
+        def counting(w, q):
+            calls.append(q)
+            return expand(w, q)
+
+        monkeypatch.setattr(mubar.milnor, "magnus_expand", counting)
+        monkeypatch.setattr(mubar.magnus, "magnus_expand", counting)
+        with redirect_stdout(StringIO()) as out:
+            assert main(["lcq", "--link", str(path), "--q", "5"]) == 0
+        assert '"free": true' in out.getvalue()
+        assert calls == [5, 5]
 
 
 _letters = st.tuples(st.integers(1, 3), st.sampled_from((1, -1)))
@@ -143,12 +249,11 @@ class TestMutativePair:
         assert all(r.residue != 0 for r in report.witnesses)
 
     def test_each_system_expanded_once(self, monkeypatch):
-        # two longitudes each of alpha, beta and the mutant (read through
-        # the LongitudeSystem cache by the detector scan, the reports and
-        # route A), two of the ribbon sum for route A, then route B's own
-        # expansions: two for the ribbon sum and one for the mutant,
-        # whose first relator is already shallow.  Building the mutant
-        # for every detector made this 43.
+        # two longitudes each of alpha, beta, the mutant and the ribbon
+        # sum, read through the LongitudeSystem cache by the detector
+        # scan, the reports and both routes of lcq_is_free.  Building the
+        # mutant for every detector made this 43, and route B's second
+        # expansion of each relator 11.
         calls = []
         expand = mubar.magnus.magnus_expand
 
@@ -160,7 +265,7 @@ class TestMutativePair:
         monkeypatch.setattr(mubar.magnus, "magnus_expand", counting)
         report = mutative_pair_report(milnor_l6_system(7), 6, "F")
         assert len(report.detectors) == 30
-        assert len(calls) <= 11
+        assert len(calls) == 8
 
     def test_json_shape(self):
         alpha = milnor_l6_system()
