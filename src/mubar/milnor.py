@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, shown
 from .magnus import NCSeries, check_term_budget, magnus_expand
 from .records import frozen_record
 from .words import Word
@@ -236,9 +236,9 @@ def parse_index(text: str) -> Index:
         else:
             entries = tuple(int(ch) for ch in text)
     except ValueError as exc:
-        raise ParseError(f"bad index {text!r}") from exc
+        raise ParseError(f"bad index {shown(text)}") from exc
     if any(i < 1 for i in entries):
-        raise ParseError(f"index entries must be >= 1 in {text!r}")
+        raise ParseError(f"index entries must be >= 1 in {shown(text)}")
     return entries
 
 

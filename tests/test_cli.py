@@ -550,6 +550,11 @@ class TestInputChecks:
         if "token" in named:
             assert err.endswith(" (position 0)\n")
 
+    def test_oversized_index_is_cut(self, capsys):
+        code, out, err = run(capsys, "mu", "--link", "unread.json", "--index", "1a" * 50_000)
+        assert (code, out) == (2, "")
+        assert err == "mubar: parse error: bad index '1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1... (100002 characters)\n"
+
 
 # every verb that reads a link file, then massey-sum reading values
 _READERS = (

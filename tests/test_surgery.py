@@ -173,24 +173,17 @@ class TestRouteBAgainstOracle:
                     )
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(
-                    st.tuples(st.integers(1, n - 1), st.integers(2, n), st.sampled_from((1, -1)))
-                    .filter(lambda t: t[0] < t[1]),
-                    max_size=6,
-                ),
+    @given(st.data(), st.integers(2, 4), st.integers(2, 6))
+    def test_braid_closures(self, data, strands, depth):
+        pairs = [(i, j) for i in range(1, strands) for j in range(i + 1, strands + 1)]
+        letters = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(pairs), st.sampled_from((1, -1))),
+                max_size=6,
             )
-        ),
-        st.integers(2, 6),
-    )
-    def test_braid_closures(self, braid, depth):
-        strands, letters = braid
-        _assert_routes_agree(
-            artin_longitudes(PureBraidWord(strands, tuple(letters)), depth)
         )
+        braid = PureBraidWord(strands, tuple((i, j, e) for (i, j), e in letters))
+        _assert_routes_agree(artin_longitudes(braid, depth))
 
 
 class TestExpansionCount:
