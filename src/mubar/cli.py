@@ -9,9 +9,9 @@ nests JSON too deeply), 3 violated precondition.
 
 Link inputs may be longitude-system JSON ({m, depth, longitudes}),
 PD-code JSON ({m, components, crossings}) or braid text (``n; A12
-...``); each is read at the depth the requested computation needs
-unless ``--depth`` overrides it, and a deeper longitude-system file is
-truncated to that depth.
+...``); each is read at the depth the requested computation needs,
+never below depth 2, unless ``--depth`` overrides it, and a deeper
+longitude-system file is truncated to that depth.
 
 Start-up and exit cost more than most verbs, so ``main`` builds the
 parser of the invoked verb alone, and the process entry (``python -m
@@ -33,7 +33,7 @@ import sys
 
 from . import corpus
 from .brackets import evaluate_detailed, massey_sum
-from .errors import ParseError, PreconditionError, strict_int
+from .errors import ParseError, PreconditionError, shown, strict_int
 from .links import artin_longitudes, load_pd, longitudes_mod_q, parse_braid
 from .milnor import (
     LongitudeSystem,
@@ -123,19 +123,21 @@ def load_system(path: str, depth: int) -> LongitudeSystem:
 
 
 def _load(path: str, args, minimum: int) -> LongitudeSystem:
-    """Load at ``--depth`` (never below ``minimum``) or else at ``minimum``.
+    """Load at ``--depth`` (never below ``minimum``), else at max(minimum, 2).
 
-    A deeper longitude-system file is truncated to that depth, so its
-    words are expanded no deeper than the verb reads them.
+    The floor of 2 lets a degenerate weight (lcq --q 1, vanish-up-to
+    --weight 0) meet the verb's own check in every format.  A deeper
+    longitude-system file is truncated to the depth, so its words are
+    expanded no deeper than the verb reads them.
     """
-    depth = minimum if args.depth is None else args.depth
+    depth = max(minimum, 2) if args.depth is None else args.depth
     if depth < minimum:
-        raise PreconditionError(f"--depth {depth} is below the required {minimum}")
+        raise PreconditionError(
+            f"--depth {shown(depth)} is below the required {shown(minimum)}"
+        )
     system = load_system(path, depth)
     if depth < system.depth:
-        # A minimum below 2 (lcq --q 1, vanish-up-to --weight 0) is left
-        # to the verb's own check; only an explicit --depth is refused.
-        system = system.truncate(max(depth, 2) if args.depth is None else depth)
+        system = system.truncate(depth)
     return system
 
 

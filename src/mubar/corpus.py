@@ -12,7 +12,9 @@ components kept and the others deleted, twisted before closing when a
 target linking number is requested; everything produced this way is the
 longitude system of an actual link, so identities that hold for links
 (cyclic symmetry, the binomial weight-3 residues, ...) may be asserted
-on them.
+on them.  Their ``rng`` is a ``random.Random``; the name is only an
+annotation, which nothing evaluates, so start-up does not import
+``random``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-from random import Random
 
 from .links import (
     Crossing,

@@ -51,7 +51,7 @@ class Crossing:
         if len(self.arcs) != 4:
             raise ValueError("a crossing needs exactly 4 arc labels")
         if self.sign not in (1, -1):
-            raise ValueError(f"crossing sign must be +-1, got {self.sign}")
+            raise ValueError(f"crossing sign must be +-1, got {shown(self.sign)}")
 
     @property
     def under_in(self) -> int:
@@ -75,7 +75,7 @@ class PDCode:
     def __post_init__(self):
         if self.m != len(self.components):
             raise ParseError(
-                f"m={self.m} but {len(self.components)} components given"
+                f"m={shown(self.m)} but {len(self.components)} components given"
             )
         seen: set[int] = set()
         for comp in self.components:
@@ -83,12 +83,12 @@ class PDCode:
                 raise ParseError("empty component")
             for arc in comp:
                 if arc in seen:
-                    raise ParseError(f"arc {arc} listed twice in components")
+                    raise ParseError(f"arc {shown(arc)} listed twice in components")
                 seen.add(arc)
         for k, x in enumerate(self.crossings):
             for arc in x.arcs:
                 if arc not in seen:
-                    raise ParseError(f"crossing {k} uses unknown arc {arc}")
+                    raise ParseError(f"crossing {k} uses unknown arc {shown(arc)}")
 
     def to_json(self) -> dict:
         return {
@@ -141,8 +141,8 @@ def _trace(pd: PDCode) -> list[list[tuple[str, int]]]:
             for x in pd.crossings:
                 if arc in x.arcs:
                     raise ParseError(
-                        f"single-arc component uses arc {arc} at a crossing "
-                        f"{x.arcs}"
+                        f"single-arc component uses arc {shown(arc)} at a crossing "
+                        f"{shown(x.arcs)}"
                     )
             walks.append(walk)
             continue
@@ -156,7 +156,7 @@ def _trace(pd: PDCode) -> list[list[tuple[str, int]]]:
                 walk.append(("over", overs.pop(0)))
             else:
                 raise ParseError(
-                    f"no unused crossing joins arcs {arc} -> {nxt}"
+                    f"no unused crossing joins arcs {shown(arc)} -> {shown(nxt)}"
                 )
         walks.append(walk)
 
@@ -265,7 +265,7 @@ class PureBraidWord:
             raise ValueError("strand count must be positive")
         for i, j, e in self.letters:
             if not (1 <= i < j <= self.strands):
-                raise ValueError(f"bad pure braid generator A{i},{j}")
+                raise ValueError(f"bad pure braid generator A{shown(i)},{shown(j)}")
             if e not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {e}")
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import add, sub
 
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 from .words import Word
 
 Monomial = tuple[int, ...]
@@ -45,7 +45,7 @@ def check_term_budget(m: int, q: int) -> None:
         # width <= 1 keeps one term per degree, so q itself is the size
         if total > TERM_BUDGET or (size <= 1 and q > TERM_BUDGET):
             raise PreconditionError(
-                f"a series of degree bound {q} in {m} variables has more "
+                f"a series of degree bound {shown(q)} in {shown(m)} variables has more "
                 f"than TERM_BUDGET = {TERM_BUDGET} terms"
             )
 

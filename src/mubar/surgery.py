@@ -19,7 +19,7 @@ mutant's ninth quotient is not free, as
 
 from __future__ import annotations
 
-from .errors import PreconditionError
+from .errors import PreconditionError, shown
 from .links import inverse_mirror
 from .milnor import (
     Index,
@@ -66,7 +66,7 @@ def lcq_is_free(system: LongitudeSystem, q: int) -> LcqReport:
         raise PreconditionError("q must be at least 2")
     if q > system.depth:
         raise PreconditionError(
-            f"depth {system.depth} insufficient for quotient depth {q}"
+            f"depth {system.depth} insufficient for quotient depth {shown(q)}"
         )
     witness = first_nonvanishing(system, q)
     route_a = witness is None

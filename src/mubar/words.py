@@ -33,7 +33,7 @@ LETTER_BUDGET = 100_000
 def check_letter_budget(total: int) -> None:
     if total > LETTER_BUDGET:
         raise PreconditionError(
-            f"input expands to {total} letters, over LETTER_BUDGET = "
+            f"input expands to {shown(total)} letters, over LETTER_BUDGET = "
             f"{LETTER_BUDGET}"
         )
 

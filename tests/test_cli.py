@@ -556,6 +556,102 @@ class TestInputChecks:
         assert err == "mubar: parse error: bad index '1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1a1... (100002 characters)\n"
 
 
+_BIG = "9" * 4000
+_CUT = "9" * 40 + "... (4000 characters)"
+_SYSTEM = json.dumps({"m": 2, "depth": 3, "longitudes": ["x2", "x1"]})
+_TERMS = "has more than TERM_BUDGET = 1048576 terms"
+
+# name -> (argv before the file, file text, exit code, stderr line with
+# {path} for the file): an integer of 4,000 digits in the input is quoted
+# through errors.shown
+OVERSIZED_INTEGERS = {
+    "generator": (
+        _MU, json.dumps({"m": 2, "depth": 3, "longitudes": [f"x{_BIG}", "e"]}), 2,
+        f"parse error: {{path}}: longitude 1 uses generator x{_CUT} beyond m=2",
+    ),
+    "exponent": (
+        _MU, json.dumps({"m": 2, "depth": 3, "longitudes": [f"x2^{_BIG}", "e"]}), 3,
+        f"precondition violated: input expands to {_CUT} letters, over "
+        "LETTER_BUDGET = 100000",
+    ),
+    "system-m": (
+        _MU, _SYSTEM.replace('"m": 2', f'"m": {_BIG}'), 2,
+        f"parse error: {{path}}: expected {_CUT} longitudes, got 2",
+    ),
+    "pd-m": (
+        _MU, _pd_text(m=int(_BIG)), 2,
+        f"parse error: malformed PD code: m={_CUT} but 2 components given",
+    ),
+    "system-depth": (
+        _MU, _SYSTEM.replace('"depth": 3', f'"depth": {_BIG}'), 3,
+        f"precondition violated: a series of degree bound {_CUT} in 2 variables {_TERMS}",
+    ),
+    "pd-sign": (
+        _MU, _pd_text(crossings=[{"arcs": [1, 3, 2, 4], "sign": int(_BIG)}, _HOPF_CROSSINGS[1]]),
+        2, f"parse error: malformed PD code: crossing sign must be +-1, got {_CUT}",
+    ),
+    "pd-crossing-arc": (
+        _MU, _pd_text(crossings=[{"arcs": [int(_BIG), 3, 2, 4], "sign": 1}, _HOPF_CROSSINGS[1]]),
+        2, f"parse error: malformed PD code: crossing 0 uses unknown arc {_CUT}",
+    ),
+    "pd-arc-twice": (
+        _MU, _pd_text(components=[[1, 2, int(_BIG)], [3, 4, int(_BIG)]]), 2,
+        f"parse error: malformed PD code: arc {_CUT} listed twice in components",
+    ),
+    "pd-component-arc": (
+        _MU, _pd_text(components=[[1, 2, int(_BIG)], [3, 4]]), 2,
+        f"parse error: no unused crossing joins arcs 2 -> {_CUT}",
+    ),
+    "pd-single-arc": (
+        _MU,
+        _pd_text(
+            components=[[int(_BIG)], [1, 2, 3, 4]],
+            crossings=[{"arcs": [int(_BIG), 3, 2, 4], "sign": 1}, _HOPF_CROSSINGS[1]],
+        ),
+        2,
+        f"parse error: single-arc component uses arc {_CUT} at a crossing "
+        f"({_BIG[:39]}... (4011 characters)",
+    ),
+    "braid-generator": (
+        _MU, f"2; A1,{_BIG}", 2, f"parse error: bad pure braid generator A1,{_CUT}",
+    ),
+    "braid-strands": (
+        _MU, f"{_BIG}; A12", 3,
+        f"precondition violated: a series of degree bound 3 in {_CUT} variables {_TERMS}",
+    ),
+    "index": (
+        ("mu", "--index", f"1,{_BIG}", "--link"), _SYSTEM, 3,
+        f"precondition violated: index entry {_CUT} out of range for a 2-component link",
+    ),
+    "weight": (
+        ("vanish-up-to", "--weight", _BIG, "--link"), _SYSTEM, 3,
+        f"precondition violated: weight {_CUT} exceeds validity (depth 3 allows "
+        "weights up to 2)",
+    ),
+    "q": (
+        ("lcq", "--q", _BIG, "--link"), _SYSTEM, 3,
+        f"precondition violated: depth 3 insufficient for quotient depth {_CUT}",
+    ),
+    "depth-option": (
+        ("mu", "--index", "12", "--depth", f"-{_BIG}", "--link"), _SYSTEM, 3,
+        f"precondition violated: --depth -{_BIG[:39]}... (4001 characters) is below "
+        "the required 3",
+    ),
+}
+
+
+class TestOversizedIntegers:
+    @pytest.mark.parametrize("name", list(OVERSIZED_INTEGERS))
+    def test_quoted_value_is_cut(self, tmp_path, capsys, name):
+        argv, text, code, message = OVERSIZED_INTEGERS[name]
+        path = tmp_path / "input"
+        path.write_text(text)
+        got, out, err = run(capsys, *argv, str(path))
+        assert (got, out) == (code, "")
+        assert err == "mubar: " + message.format(path=path) + "\n"
+        assert len(err.encode()) < 200
+
+
 # every verb that reads a link file, then massey-sum reading values
 _READERS = (
     ("mu", "--index", "12", "--link"),
@@ -618,14 +714,15 @@ class TestDepthHandling:
         assert out == ""
         assert "depth must be at least 2" in err
 
-    def test_degenerate_weights_without_depth(self, corpus_dir, capsys):
-        # the verbs' own checks answer, as they do at any file depth
-        l6 = str(corpus_dir / "l6.json")
-        code, out, err = run(capsys, "lcq", "--link", l6, "--q", "1")
+    @pytest.mark.parametrize("name", ["l6.json", "hopf.json", "hopf.braid"])
+    def test_degenerate_weights_without_depth(self, corpus_dir, capsys, name):
+        # the verbs' own checks answer, whatever the input format
+        link = str(corpus_dir / name)
+        code, out, err = run(capsys, "lcq", "--link", link, "--q", "1")
         assert code == 3
         assert out == ""
         assert "q must be at least 2" in err
-        code, out, _ = run(capsys, "vanish-up-to", "--link", l6, "--weight", "0")
+        code, out, _ = run(capsys, "vanish-up-to", "--link", link, "--weight", "0")
         assert code == 0
         assert json.loads(out) == {"all_vanish": True, "weight": 0}
 
@@ -743,16 +840,24 @@ class TestSubindexBudget:
         assert "`mubar.milnor.SUBINDEX_BUDGET` = 5,000,000" in README.read_text()
 
 
+def _loaded_at_import(*names) -> str:
+    # -S skips site, which on some hosts loads these through .pth hooks
+    probe = f"import sys, mubar.cli; print(sorted({set(names)!r} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
 class TestStartup:
     def test_import_loads_neither_typing_nor_pathlib(self):
-        # -S skips site, which on some hosts loads both through .pth hooks
-        probe = "import sys, mubar.cli; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
-        env = dict(os.environ, PYTHONPATH=SRC)
-        done = subprocess.run(
-            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "[]\n"
+        assert _loaded_at_import("typing", "pathlib") == "[]\n"
+
+    def test_import_does_not_load_random(self):
+        # corpus names random.Random in annotations only
+        assert _loaded_at_import("random") == "[]\n"
 
 
 class TestPathsAsPathlibSpellsThem:

@@ -1,10 +1,10 @@
 import math
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mubar.corpus import (
@@ -70,6 +70,29 @@ def first_nonvanishing_oracle(system: LongitudeSystem, q: int):
             if _mu_raw(system, entries) != 0:
                 return entries
     return None
+
+
+# Oracle: the position-subset walk proper_cyclic_subindices replaced,
+# verbatim apart from its name.
+
+
+def proper_cyclic_subindices_oracle(index):
+    """All rotations of order-preserving subsequences of length 2..|I|-1."""
+    k = len(index)
+    out = set()
+    for size in range(2, k):
+        for positions in combinations(range(k), size):
+            sub = tuple(index[p] for p in positions)
+            for r in range(size):
+                out.add(sub[r:] + sub[:r])
+    return out
+
+
+def delta_oracle(system: LongitudeSystem, index) -> int:
+    g = 0
+    for sub in proper_cyclic_subindices_oracle(index):
+        g = math.gcd(g, _mu_raw(system, sub))
+    return g
 
 
 def hopf_type(depth=4):
@@ -184,6 +207,51 @@ class TestDelta:
                     continue
                 for sub in proper_cyclic_subindices(entries):
                     assert mu(system, sub) % d == 0
+
+
+class TestSubindicesAgainstOracle:
+    def test_exhaustive(self):
+        for letters, top in (((1, 2), 9), ((1, 2, 3), 7)):
+            for k in range(2, top + 1):
+                for index in product(letters, repeat=k):
+                    assert proper_cyclic_subindices(index) == (
+                        proper_cyclic_subindices_oracle(index)
+                    ), index
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @example([1, 2] * 7)
+    @example([1, 1, 2, 3, 4, 4, 3, 2, 1, 2, 3, 4, 1, 1])
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.integers(1, n), min_size=2, max_size=14)
+        )
+    )
+    def test_matches_oracle(self, entries):
+        index = tuple(entries)
+        assert proper_cyclic_subindices(index) == proper_cyclic_subindices_oracle(index)
+
+    def test_delta_on_l6(self):
+        system = milnor_l6_system()
+        for index in product((1, 2), repeat=6):
+            assert delta(system, index) == delta_oracle(system, index)
+
+    def test_delta_on_borromean_pd(self):
+        system = longitudes_mod_q(borromean_pd(), 6)
+        for k in (3, 4, 5):
+            for index in product((1, 2, 3), repeat=k):
+                assert delta(system, index) == delta_oracle(system, index)
+
+    def test_delta_on_random_systems(self):
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(30):
+            system = random_realized_system(rng, depth=5)
+            for k in (2, 3, 4):
+                for index in product((1, 2), repeat=k):
+                    want = delta_oracle(system, index)
+                    seen.add(want)
+                    assert delta(system, index) == want
+        assert {2, 3, 6} <= seen
 
 
 class TestMuBar:
