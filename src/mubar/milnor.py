@@ -158,10 +158,8 @@ SUBINDEX_BUDGET = 5_000_000
 def proper_cyclic_subindices(index: Index) -> set[Index]:
     """All rotations of distinct subsequences of length 2..|I|-1.
 
-    The distinct subsequences come from a closure, each entry extending
-    every one found so far, so no subset of positions is walked: a
-    weight-19 index takes 0.006-0.16 s, where its 4,980,698 rotations of
-    position subsets took about 3 s.
+    A closure, each entry extending every subsequence so far, walks no
+    position subsets: weight 19 takes 0.006-0.16 s instead of about 3 s.
     """
     subs: set[Index] = {()}
     for i in index:

@@ -21,6 +21,7 @@ from mubar.magnus import lcs_depth
 import mubar.milnor
 from mubar.milnor import (
     SUBINDEX_BUDGET,
+    Index,
     LongitudeSystem,
     _mu_raw,
     all_vanish_up_to,
@@ -73,13 +74,13 @@ def first_nonvanishing_oracle(system: LongitudeSystem, q: int):
 
 
 # Oracle: the position-subset walk proper_cyclic_subindices replaced,
-# verbatim apart from its name.
+# verbatim apart from its name, and the loop delta ran over it.
 
 
-def proper_cyclic_subindices_oracle(index):
+def proper_cyclic_subindices_oracle(index: Index) -> set[Index]:
     """All rotations of order-preserving subsequences of length 2..|I|-1."""
     k = len(index)
-    out = set()
+    out: set[Index] = set()
     for size in range(2, k):
         for positions in combinations(range(k), size):
             sub = tuple(index[p] for p in positions)
