@@ -52,7 +52,7 @@ therefore capped at 12 (WEIGHT_CAP).
 
 from __future__ import annotations
 
-from .errors import ParseError, PreconditionError, strict_int
+from .errors import SHOWN_CHARS, ParseError, PreconditionError, shown, strict_int
 from .milnor import Index, format_index
 from .records import frozen_record
 
@@ -173,7 +173,7 @@ def parse_linking(text: str) -> Bracket:
     else:
         tree = parse_bracket(body)
     if isinstance(tree, int):
-        raise ParseError(f"linking {text!r} has weight 1")
+        raise ParseError(f"linking {shown(text)} has weight 1")
     return tree
 
 
@@ -399,9 +399,10 @@ def massey_sum(index) -> LinkingExpr:
     if len(entries) < 2:
         raise PreconditionError("massey_sum needs weight >= 2")
     if entries[0] == entries[-1]:
-        raise PreconditionError(
-            f"first and last entries of {format_index(entries)} must differ"
-        )
+        text = format_index(entries)
+        if len(text) > SHOWN_CHARS:  # short indices stay unquoted
+            text = shown(text)
+        raise PreconditionError(f"first and last entries of {text} must differ")
     if len(entries) > WEIGHT_CAP:
         raise PreconditionError(
             f"weight {len(entries)} exceeds the cap {WEIGHT_CAP} "

@@ -2,7 +2,6 @@ import math
 import random
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +11,6 @@ from mubar.brackets import (
     Bracket,
     Canonicalizer,
     LinkingExpr,
-    _choose,
-    _vertex,
     canonicalize,
     evaluate_detailed,
     massey_sum,
@@ -148,209 +145,6 @@ def oracle_classes(trees):
     return expected
 
 
-# ---------------------------------------------------------------------------
-# Oracle: the re-rooting canonicalizer as it was before branches were
-# shared across trees.  It rebuilds every directed branch of each tree
-# from scratch and builds the full key of every root edge.
-
-
-class _Side(NamedTuple):
-    """Best orientation of one branch of the linking tree."""
-
-    # (parenthesis pairs, inverted leaf pairs, inner pairs with the
-    # smaller side first, leaf sequence with later components first,
-    # shape in preorder) -- the per-side parts of the selection order.
-    key: tuple
-    tree: Bracket
-    weight: int
-    flips: int  # parity of vertices whose cyclic order was reversed
-    form: int  # id of the branch as an unordered labelled tree
-
-
-def _trivalent(tree: Bracket) -> tuple[list[int], list[list[int]]]:
-    """Read lk(tree) as an unrooted tree: leaf labels and neighbours.
-
-    Vertex v is a leaf with ``labels[v]`` its component, or an internal
-    vertex (label 0) whose neighbours ``[parent, left, right]`` record
-    the input's cyclic order.  The top split is the edge joining the
-    two top children, so it is no vertex.
-    """
-    labels: list[int] = []
-    nbrs: list[list[int]] = []
-
-    def add(t: Bracket, parent: int) -> int:
-        v = len(labels)
-        labels.append(t if isinstance(t, int) else 0)
-        nbrs.append([parent])
-        if not isinstance(t, int):
-            nbrs[v].append(add(t[0], v))
-            nbrs[v].append(add(t[1], v))
-        return v
-
-    left = add(tree[0], -1)
-    nbrs[left][0] = add(tree[1], left)
-    return labels, nbrs
-
-
-def _join(a: _Side, b: _Side, flip: int, form: int) -> _Side:
-    pa, ia, ua, seqa, shapea = a.key
-    pb, ib, ub, seqb, shapeb = b.key
-    a_leaf, b_leaf = isinstance(a.tree, int), isinstance(b.tree, int)
-    key = (
-        pa + pb + (not a_leaf),
-        ia + ib + (a_leaf and b_leaf and a.tree > b.tree),
-        ua + ub + (not a_leaf and not b_leaf and a.weight < b.weight),
-        seqa + seqb,
-        (1,) + shapea + shapeb,
-    )
-    flips = (a.flips + b.flips + flip) % 2
-    return _Side(key, (a.tree, b.tree), a.weight + b.weight, flips, form)
-
-
-def rerooting_canonicalize(tree: Bracket, sign: int = 1) -> tuple[Bracket, int]:
-    """Canonical minimal linking of lk(tree) and the accumulated sign.
-
-    lk(tree) is read as an unrooted trivalent tree whose internal
-    vertices carry the cyclic order (parent, left, right).  A
-    re-association moves the root edge and keeps every cyclic order; a
-    sub-bracket swap reverses one vertex's order at sign -1.  The class
-    is therefore every choice of root edge, root direction and child
-    order per vertex, and a member's sign is -1 to the number of
-    vertices whose order differs from the input.  Weight 2 has no
-    vertex: lk(x,y) and lk(y,x) are different classes.
-
-    The representative minimizes the top imbalance ||u|-|v||, then the
-    tie-break order of the module docstring.  Its parts decompose over
-    subtrees, so each directed edge keeps the better of its two child
-    orders, and the root is the best of the 2(2n-3) directed edges.
-    The returned sign s satisfies lk(tree) = s * lk(representative).
-    A sign of 0 marks a degenerate class (equivalent to its own
-    negative, hence forced to vanish); this happens exactly when some
-    vertex has two branches that are isomorphic as unordered labelled
-    rooted trees, e.g. the pair (u,u) below the top.
-    """
-    if isinstance(tree, int):
-        raise PreconditionError("a formal linking needs weight > 1")
-    if isinstance(tree[0], int) and isinstance(tree[1], int):
-        return tree, sign
-    labels, nbrs = _trivalent(tree)
-    forms: dict = {}
-    sides: dict[tuple[int, int], _Side] = {}
-
-    def side(p: int, c: int) -> _Side:
-        # the branch at c that hangs away from its neighbour p
-        got = sides.get((p, c))
-        if got is not None:
-            return got
-        if labels[c]:
-            leaf = labels[c]
-            form = forms.setdefault(leaf, len(forms))
-            got = _Side((0, 0, 0, (-leaf,), (0,)), leaf, 1, 0, form)
-        else:
-            # children in the input's cyclic order after p, at flip 0
-            at = nbrs[c].index(p)
-            a = side(c, nbrs[c][(at + 1) % 3])
-            b = side(c, nbrs[c][(at + 2) % 3])
-            pair = (min(a.form, b.form), max(a.form, b.form))
-            form = forms.setdefault(pair, len(forms))
-            got = min(_join(a, b, 0, form), _join(b, a, 1, form), key=lambda o: o.key)
-        sides[(p, c)] = got
-        return got
-
-    best = None
-    for u, around in enumerate(nbrs):
-        for v in around:
-            left, right = side(v, u), side(u, v)
-            key = (
-                abs(left.weight - right.weight),
-                left.weight,
-                left.key[0] + right.key[0],
-                left.key[1] + right.key[1],
-                left.key[2] + right.key[2],
-                left.key[3:],
-                right.key[3:],
-            )
-            if best is None or key < best[0]:
-                best = (key, left, right)
-    _, left, right = best
-    for v, around in enumerate(nbrs):
-        if not labels[v] and len({side(v, n).form for n in around}) < 3:
-            return (left.tree, right.tree), 0
-    return (left.tree, right.tree), sign * (-1) ** (left.flips + right.flips)
-
-
-# ---------------------------------------------------------------------------
-# Oracle: Canonicalizer.canonicalize before it re-associated the bracket.
-# It numbers the vertices in preorder, keeps five per-vertex lists and
-# builds each upward branch lazily from its parent's, by index.
-
-
-def lazy_rerooting_canonicalize(canon: Canonicalizer, tree: Bracket) -> tuple[Bracket, int]:
-    """canon.canonicalize(tree) by indexed lazy re-rooting."""
-    if isinstance(tree, int):
-        raise PreconditionError("a formal linking needs weight > 1")
-    if isinstance(tree[0], int) and isinstance(tree[1], int):
-        return tree, 1
-    # Vertices in preorder of tree[0], then of tree[1]; the two top
-    # vertices are each other's parent.  down[v] is v's downward
-    # branch and above[v] the form of the branch at parent[v] that
-    # hangs away from v.
-    side, form = canon.side, canon._form
-    first, second = side(tree[0]), side(tree[1])
-    n, top = first.weight + second.weight, 2 * first.weight - 1
-    down: list[_Side] = []
-    parent: list[int] = []
-    kids: list[tuple[int, int] | None] = []
-    above: list[int] = []
-    degenerate = False
-    stack = [(tree[1], second, 0, first.form), (tree[0], first, top, second.form)]
-    while stack:
-        t, d, p, up = stack.pop()
-        v = len(down)
-        down.append(d)
-        parent.append(p)
-        above.append(up)
-        if isinstance(t, int):
-            kids.append(None)
-            continue
-        a, b = side(t[0]), side(t[1])
-        degenerate = degenerate or a.form == b.form or up in (a.form, b.form)
-        kids.append((v + 1, v + 2 * a.weight))
-        stack.append((t[1], b, v, form(a.form, up)))
-        stack.append((t[0], a, v, form(b.form, up)))
-
-    ups: list[_Side | None] = [None] * len(down)
-    ups[0], ups[top] = second, first
-
-    def upward(x: int) -> _Side:
-        # the branch at parent[x] that hangs away from x, built lazily
-        got = ups[x]
-        if got is None:
-            p = parent[x]
-            a, b = kids[p]
-            if x == a:
-                got = _vertex(down[b], upward(p), above[x])
-            else:
-                got = _vertex(upward(p), down[a], above[x])
-            ups[x] = got
-        return got
-
-    # Root edges in the order (vertex, its neighbours parent, left,
-    # right); only those of least (imbalance, left weight) compete.
-    target = max(min(d.weight, n - d.weight) for d in down)
-    best = None
-    for u, d in enumerate(down):
-        if d.weight == target:
-            best = _choose(best, d, upward(u))
-        for c in kids[u] or ():
-            if n - down[c].weight == target:
-                best = _choose(best, upward(c), down[c])
-    _, left, right = best
-    if degenerate:
-        return (left.tree, right.tree), 0
-    return (left.tree, right.tree), (-1) ** (left.flips + right.flips)
-
-
 def all_trees(leaves, symbols):
     if leaves == 1:
         yield from symbols
@@ -470,6 +264,15 @@ class TestCanonicalize:
                     assert sign2 == f * sign
             seen += 1
 
+    def test_shared_table_across_trees(self):
+        # one instance fed trees of mixed weights and alphabets in turn
+        rng = random.Random(17)
+        canon = Canonicalizer()
+        for _ in range(2000):
+            symbols = (1, 2, 3, 4)[: rng.randint(1, 4)]
+            tree = random_tree(rng, rng.randint(2, 10), symbols)
+            assert canon.canonicalize(tree) == canonicalize(tree), tree
+
     def test_randomized_application_order_weight9(self):
         rng = random.Random(11)
         for _ in range(20):
@@ -502,11 +305,14 @@ class TestCanonicalizeAgainstOrbitSearch:
         for tree in trees:
             assert canonicalize(tree) == expected[tree], tree
 
-    def test_every_parenthesization_through_weight_7(self):
+    def test_every_parenthesization_through_weight_8(self):
+        # every bracketing massey_sum meets at weight <= 8 on two letters
+        # and <= 6 on three
         trees = [
             linking
-            for q in range(2, 8)
-            for index in product((1, 2), repeat=q)
+            for symbols, top in (((1, 2), 8), ((1, 2, 3), 6))
+            for q in range(2, top + 1)
+            for index in product(symbols, repeat=q)
             for linking in parenthesizations(index[:-1], index[-1])
         ]
         expected = oracle_classes(trees)
@@ -516,38 +322,6 @@ class TestCanonicalizeAgainstOrbitSearch:
     def test_weight_two_is_its_own_class(self):
         assert canonicalize((2, 1)) == ((2, 1), 1)
         assert canonicalize((1, 2)) == ((1, 2), 1)
-
-
-class TestCanonicalizeAgainstRerooting:
-    def test_massey_sum_every_small_index(self):
-        # every index of weight <= 8 on two letters and <= 6 on three
-        indices = dict.fromkeys(
-            index
-            for symbols, top in (((1, 2), 8), ((1, 2, 3), 6))
-            for q in range(2, top + 1)
-            for index in product(symbols, repeat=q)
-            if index[0] != index[-1]
-        )
-        assert len(indices) == 254 + 726 - 62  # 62 three-letter ones use two
-        for index in indices:
-            sign = -1 if len(index) % 2 else 1
-            acc = {}
-            for linking in parenthesizations(index[:-1], index[-1]):
-                rep, s = rerooting_canonicalize(linking)
-                if s:
-                    acc[rep] = acc.get(rep, 0) + sign * s
-            assert massey_sum(index) == LinkingExpr.from_dict(acc), index
-
-    def test_shared_table_across_trees(self):
-        # one instance fed trees of mixed weights and alphabets in turn
-        rng = random.Random(17)
-        canon, lazy = Canonicalizer(), Canonicalizer()
-        for _ in range(2000):
-            symbols = (1, 2, 3, 4)[: rng.randint(1, 4)]
-            tree = random_tree(rng, rng.randint(2, 10), symbols)
-            got = canon.canonicalize(tree)
-            assert got == rerooting_canonicalize(tree), tree
-            assert got == lazy_rerooting_canonicalize(lazy, tree), tree
 
 
 def _draw_bracket(draw, leaves, symbols):
@@ -585,19 +359,41 @@ def oracle_cases(draw):
     return _replace_leaf(base, draw(st.integers(0, base_leaves - 1)), (s, s)), True
 
 
+def _leaves(tree: Bracket) -> list[int]:
+    if isinstance(tree, int):
+        return [tree]
+    return _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _proper_sub_brackets(tree: Bracket):
+    for child in tree:
+        yield child
+        if not isinstance(child, int):
+            yield from _proper_sub_brackets(child)
+
+
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(oracle_cases())
 @example((((1, 2), (3, 4)), False))
 @example((((3, 1), ((2, 4), (1, 2))), False))
 @example(((((1, 1), 2), (3, 4)), True))
 @example(((((1, 2), (1, 2)), ((2, 3), 4)), True))
-def test_canonicalize_matches_rerooting_oracle(case):
+def test_representative_properties(case):
+    # Properties every canonical representative has, checked without a
+    # second canonicalizer.  Each edge of the linking tree splits the
+    # leaves as one sub-bracket against the rest, so the representative's
+    # top split is the most balanced split of the input.
     tree, grafted = case
-    got = canonicalize(tree)
-    assert got == rerooting_canonicalize(tree)
-    assert got == lazy_rerooting_canonicalize(Canonicalizer(), tree)
+    rep, sign = canonicalize(tree)
     if grafted:
-        assert got[1] == 0
+        assert sign == 0
+    assert sorted(_leaves(rep)) == sorted(_leaves(tree))
+    assert canonicalize(rep) == (rep, abs(sign))
+    n = weight(tree)
+    assert weight(rep[0]) <= weight(rep[1])
+    assert weight(rep[1]) - weight(rep[0]) == min(
+        abs(n - 2 * weight(t)) for t in _proper_sub_brackets(tree)
+    )
 
 
 @st.composite

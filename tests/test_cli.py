@@ -161,6 +161,16 @@ class TestMasseyVerb:
         code, _, err = run(capsys, "massey-sum", "--index", "121")
         assert code == 3
 
+    def test_values_key_of_weight_1_is_cut(self, tmp_path, capsys):
+        values = tmp_path / "values.json"
+        values.write_text(json.dumps({"x" + " " * 100_000: 1}))
+        code, out, err = run(capsys, "massey-sum", "--index", "12", "--values", str(values))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"mubar: parse error: linking 'x{' ' * 38}... (100003 characters) has weight 1\n"
+        )
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize(
         "key",
         [
@@ -480,6 +490,17 @@ INPUT_CHECKS = {
         _MASSEY, json.dumps({"xy)": 1}), 2, "parse error: unexpected ')' at position 2",
     ),
     "values-key-with-space": (_MASSEY, json.dumps({"x y": 1}), 0, None),
+    "values-key-weight-1": (
+        _MASSEY, json.dumps({"x ": 1}), 2, "parse error: linking 'x ' has weight 1",
+    ),
+    "massey-equal-ends": (
+        ("massey-sum", "--index", "121"), None, 3,
+        "precondition violated: first and last entries of 121 must differ",
+    ),
+    "massey-equal-ends-commas": (
+        ("massey-sum", "--index", "1,10,1"), None, 3,
+        "precondition violated: first and last entries of 1,10,1 must differ",
+    ),
     "massey-weight-1": (
         ("massey-sum", "--index", "1"), None, 3,
         "precondition violated: massey_sum needs weight >= 2",
@@ -631,6 +652,11 @@ OVERSIZED_INTEGERS = {
     "q": (
         ("lcq", "--q", _BIG, "--link"), _SYSTEM, 3,
         f"precondition violated: depth 3 insufficient for quotient depth {_CUT}",
+    ),
+    "massey-equal-ends": (
+        ("massey-sum", "--index", f"1,{_BIG},1", "--values"), "{}", 3,
+        f"precondition violated: first and last entries of '1,{_BIG[:37]}... "
+        "(4006 characters) must differ",
     ),
     "depth-option": (
         ("mu", "--index", "12", "--depth", f"-{_BIG}", "--link"), _SYSTEM, 3,

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -330,6 +332,72 @@ class TestDictOracle:
     @given(words, bounds)
     def test_inverse(self, w, q):
         assert series_mul(magnus_expand(w, q), magnus_expand(w.inverse(), q)) == one(q)
+
+
+# ---------------------------------------------------------------------------
+# The quasi-shuffle identity, an oracle that needs no older implementation.
+# x_i -> 1 + X_i sends every word to a series that is group-like for the
+# coproduct X_i -> X_i (x) 1 + 1 (x) X_i + X_i (x) X_i, so its coefficients c
+# satisfy c(u) c(v) = sum of c(w) over w in the quasi-shuffle u *- v, the
+# product formula for Magnus coefficients (Chen, Fox and Lyndon, "Free
+# differential calculus IV", Annals of Mathematics 1958).  Products and
+# inverses of group-like series are group-like.
+
+
+@lru_cache(maxsize=None)
+def quasi_shuffle(u: Monomial, v: Monomial) -> tuple[tuple[Monomial, int], ...]:
+    """u *- v as (word, multiplicity) pairs: the letters of u and v
+    interleave, and a letter of u may merge with an equal letter of v."""
+    if not u or not v:
+        return ((u + v, 1),)
+    out: Counter = Counter()
+    for w, k in quasi_shuffle(u[1:], v):
+        out[u[:1] + w] += k
+    for w, k in quasi_shuffle(u, v[1:]):
+        out[v[:1] + w] += k
+    if u[0] == v[0]:
+        for w, k in quasi_shuffle(u[1:], v[1:]):
+            out[u[:1] + w] += k
+    return tuple(out.items())
+
+
+def assert_grouplike(series: NCSeries) -> None:
+    """Constant term 1, and c(u) c(v) = sum of c(w) over u *- v for every
+    pair of nonempty monomials with |u| + |v| < q."""
+    coeff, letters = series.coefficient, range(1, series.width + 1)
+    assert coeff(()) == 1
+    for size in range(2, series.degree_bound):
+        for k in range(1, size):
+            for u in product(letters, repeat=k):
+                cu = coeff(u)
+                for v in product(letters, repeat=size - k):
+                    got = sum(mult * coeff(w) for w, mult in quasi_shuffle(u, v))
+                    assert cu * coeff(v) == got, (u, v)
+
+
+class TestGrouplike:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(words, bounds)
+    def test_expansions(self, w, q):
+        assert_grouplike(magnus_expand(w, q))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(words, words, bounds)
+    def test_products(self, u, v, q):
+        assert_grouplike(series_mul(magnus_expand(u, q), magnus_expand(v.inverse(), q)))
+
+    def test_merge_term_is_needed(self):
+        # without merges, M(x3) = 1 + X3 would fail at u = v = (3)
+        assert dict(quasi_shuffle((3,), (3,))) == {(3, 3): 2, (3,): 1}
+        assert_grouplike(magnus_expand(generator(3), 4))
+
+    def test_perturbed_coefficient_rejected(self):
+        good = magnus_expand(commutator(generator(1), generator(2)), 5)
+        assert_grouplike(good)
+        terms = good.terms
+        terms[(1, 2)] += 1
+        with pytest.raises(AssertionError):
+            assert_grouplike(NCSeries(5, terms, width=2))
 
 
 class TestWidth:

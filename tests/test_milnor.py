@@ -61,18 +61,6 @@ def residue_scan(system: LongitudeSystem, q: int):
     return None
 
 
-# Oracle: the per-index scan first_nonvanishing used before it read
-# whole levels, verbatim apart from its name.
-
-
-def first_nonvanishing_oracle(system: LongitudeSystem, q: int):
-    for weight in range(2, q + 1):
-        for entries in product(range(1, system.m + 1), repeat=weight):
-            if _mu_raw(system, entries) != 0:
-                return entries
-    return None
-
-
 # Oracle: the position-subset walk proper_cyclic_subindices replaced,
 # verbatim apart from its name, and the loop delta ran over it.
 
@@ -315,9 +303,7 @@ def _reduced_words(gens: int, max_len: int) -> list[Word]:
 
 def _assert_scans_agree(system: LongitudeSystem):
     for q in range(2, system.depth + 1):
-        found = first_nonvanishing(system, q)
-        assert found == first_nonvanishing_oracle(system, q), (system, q)
-        assert found == residue_scan(system, q), (system, q)
+        assert first_nonvanishing(system, q) == residue_scan(system, q), (system, q)
 
 
 @st.composite
@@ -412,17 +398,14 @@ class TestScanAgainstResidueOracle:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(narrow_systems())
     def test_narrow_longitudes(self, system):
-        for q in range(2, system.depth + 1):
-            assert first_nonvanishing(system, q) == first_nonvanishing_oracle(system, q)
+        _assert_scans_agree(system)
 
     def test_braid_closures(self):
         # every strand of random pure braids on 2-4 strands, at depth 5
         rng = random.Random(47)
         for _ in range(60):
             braid = random_pure_braid(rng, rng.randint(2, 4), rng.randint(0, 8))
-            system = artin_longitudes(braid, 5)
-            for q in range(2, 6):
-                assert first_nonvanishing(system, q) == first_nonvanishing_oracle(system, q)
+            _assert_scans_agree(artin_longitudes(braid, 5))
 
     def test_weight_beyond_depth_refused(self):
         with pytest.raises(PreconditionError, match="exceeds the system depth 4"):
