@@ -338,7 +338,7 @@ class TestDictOracle:
 # The quasi-shuffle identity, an oracle that needs no older implementation.
 # x_i -> 1 + X_i sends every word to a series that is group-like for the
 # coproduct X_i -> X_i (x) 1 + 1 (x) X_i + X_i (x) X_i, so its coefficients c
-# satisfy c(u) c(v) = sum of c(w) over w in the quasi-shuffle u *- v, the
+# satisfy c(u) c(v) = sum of c(w) over the quasi-shuffles w of u and v, the
 # product formula for Magnus coefficients (Chen, Fox and Lyndon, "Free
 # differential calculus IV", Annals of Mathematics 1958).  Products and
 # inverses of group-like series are group-like.
@@ -346,8 +346,9 @@ class TestDictOracle:
 
 @lru_cache(maxsize=None)
 def quasi_shuffle(u: Monomial, v: Monomial) -> tuple[tuple[Monomial, int], ...]:
-    """u *- v as (word, multiplicity) pairs: the letters of u and v
-    interleave, and a letter of u may merge with an equal letter of v."""
+    """Quasi-shuffles of u and v as (word, multiplicity) pairs: the
+    letters of u and v interleave, and a letter of u may merge with an
+    equal letter of v."""
     if not u or not v:
         return ((u + v, 1),)
     out: Counter = Counter()
@@ -362,8 +363,8 @@ def quasi_shuffle(u: Monomial, v: Monomial) -> tuple[tuple[Monomial, int], ...]:
 
 
 def assert_grouplike(series: NCSeries) -> None:
-    """Constant term 1, and c(u) c(v) = sum of c(w) over u *- v for every
-    pair of nonempty monomials with |u| + |v| < q."""
+    """Constant term 1, and c(u) c(v) = sum of c(w) over the quasi-shuffles
+    of u and v for every pair of nonempty monomials with |u| + |v| < q."""
     coeff, letters = series.coefficient, range(1, series.width + 1)
     assert coeff(()) == 1
     for size in range(2, series.degree_bound):
