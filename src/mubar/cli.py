@@ -10,8 +10,9 @@ nests JSON too deeply), 3 violated precondition.
 Link inputs may be longitude-system JSON ({m, depth, longitudes}),
 PD-code JSON ({m, components, crossings}) or braid text (``n; A12
 ...``); each is read at the depth the requested computation needs,
-never below depth 2, unless ``--depth`` overrides it, and a deeper
-longitude-system file is truncated to that depth.
+which is its weight (Milnor's bound, see mubar.milnor), never below
+depth 2, unless ``--depth`` overrides it, and a deeper longitude-system
+file is truncated to that depth.
 
 Start-up and exit cost more than most verbs, so ``main`` builds the
 parser of the invoked verb alone, and the process entry (``python -m
@@ -29,6 +30,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 
 from . import corpus
@@ -54,9 +56,13 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract reserves 2 for
-    # input-file parse errors and uses 1 for bad usage.
+    # input-file parse errors and uses 1 for bad usage.  It quotes an
+    # offending value whole, as the repr of a string, and shown() cuts it.
+    _quoted = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*\"""")
+
     def error(self, message):
         self.print_usage(sys.stderr)
+        message = self._quoted.sub(lambda q: shown(q[0], is_repr=True), message)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -143,7 +149,7 @@ def _load(path: str, args, minimum: int) -> LongitudeSystem:
 
 def cmd_mu(args) -> dict:
     index = parse_index(args.index)
-    system = _load(args.link, args, len(index) + 1)
+    system = _load(args.link, args, len(index))
     return {
         "index": format_index(index),
         "mu": mu(system, index),
@@ -152,7 +158,7 @@ def cmd_mu(args) -> dict:
 
 def cmd_delta(args) -> dict:
     index = parse_index(args.index)
-    system = _load(args.link, args, len(index) + 1)
+    system = _load(args.link, args, len(index))
     return {
         "index": format_index(index),
         "delta": delta(system, index),
@@ -161,7 +167,7 @@ def cmd_delta(args) -> dict:
 
 def cmd_mu_bar(args) -> dict:
     index = parse_index(args.index)
-    system = _load(args.link, args, len(index) + 1)
+    system = _load(args.link, args, len(index))
     value = mu_bar(system, index)
     return {
         "index": format_index(index),
@@ -172,7 +178,7 @@ def cmd_mu_bar(args) -> dict:
 
 
 def cmd_vanish_up_to(args) -> dict:
-    system = _load(args.link, args, args.weight + 1)
+    system = _load(args.link, args, args.weight)
     return {
         "weight": args.weight,
         "all_vanish": all_vanish_up_to(system, args.weight),
@@ -181,8 +187,8 @@ def cmd_vanish_up_to(args) -> dict:
 
 def cmd_mutate_report(args) -> dict:
     index = parse_index(args.index)
-    alpha = _load(args.alpha, args, len(index) + 1)
-    beta = _load(args.beta, args, len(index) + 1)
+    alpha = _load(args.alpha, args, len(index))
+    beta = _load(args.beta, args, len(index))
     if alpha.depth != beta.depth:
         shared = min(alpha.depth, beta.depth)
         alpha, beta = alpha.truncate(shared), beta.truncate(shared)
@@ -190,7 +196,7 @@ def cmd_mutate_report(args) -> dict:
 
 
 def cmd_find_detector(args) -> dict:
-    alpha = _load(args.alpha, args, args.weight + 1)
+    alpha = _load(args.alpha, args, args.weight)
     detectors = find_detector(alpha, args.weight, args.type)
     return {
         "weight": args.weight,
@@ -229,7 +235,7 @@ def cmd_lcq(args) -> dict:
     if args.mutant_of is not None:
         if args.type is None:
             raise UsageError("--mutant-of needs --type")
-        alpha = _load(args.mutant_of, args, args.q + 1)
+        alpha = _load(args.mutant_of, args, args.q)
         return mutative_pair_report(alpha, args.q, args.type).to_json()
     system = _load(args.link, args, args.q)
     return lcq_is_free(system, args.q).to_json()

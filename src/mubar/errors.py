@@ -21,9 +21,9 @@ class PreconditionError(ValueError):
     """Raised when an operation's documented precondition is violated."""
 
 
-def shown(value) -> str:
-    """repr(value), cut after SHOWN_CHARS characters with the cut marked."""
-    text = repr(value)
+def shown(value, is_repr: bool = False) -> str:
+    """repr(value), or value if is_repr, cut after SHOWN_CHARS characters."""
+    text = value if is_repr else repr(value)
     if len(text) <= SHOWN_CHARS:
         return text
     return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"

@@ -287,11 +287,12 @@ def parse_braid(text: str) -> PureBraidWord:
         m = _BRAID_TOKEN.match(token)
         if m is None:
             raise ParseError(f"bad braid token {shown(token)} (position {pos})")
-        if m.group(1) is not None:
-            i, j = int(m.group(1)), int(m.group(2))
-        else:
-            i, j = int(m.group(3)), int(m.group(4))
-        exp = int(m.group(5)) if m.group(5) is not None else 1
+        try:
+            i, j, exp = (int(g or 1) for g in (m[1] or m[3], m[2] or m[4], m[5]))
+        except ValueError as exc:  # an integer longer than int() converts
+            raise ParseError(
+                f"bad braid token {shown(token)} (position {pos}): integer too long"
+            ) from exc
         sign = 1 if exp > 0 else -1
         check_letter_budget(len(letters) + abs(exp))
         letters.extend([(i, j, sign)] * abs(exp))
@@ -318,6 +319,14 @@ def _sigmas(i: int, j: int, e: int) -> list[tuple[int, int]]:
     if e == -1:
         seq = [(k, -eps) for k, eps in reversed(seq)]
     return seq
+
+
+# Most strands times letters the Artin route may compose: each letter
+# rebuilds the step images and substitutes into every strand's
+# conjugator, about 4-5.5 us per strand-letter even when nothing grows,
+# so this bounds that work at about 5 s.  It refuses 20,000 strands by
+# 200 letters (18-22 s) and 300 strands by 10,000 letters (11-18 s).
+STRAND_LETTER_BUDGET = 1_000_000
 
 
 def _artin_conjugators(b: PureBraidWord) -> dict[int, Word]:
@@ -357,6 +366,11 @@ def artin_longitudes(b: PureBraidWord, q: int) -> LongitudeSystem:
     if q < 2:
         raise PreconditionError("depth must be at least 2")
     check_term_budget(b.strands, q)
+    if b.strands * len(b.letters) > STRAND_LETTER_BUDGET:
+        raise PreconditionError(
+            f"{b.strands} strands by {len(b.letters)} letters is more than "
+            f"STRAND_LETTER_BUDGET = {STRAND_LETTER_BUDGET} for the Artin route"
+        )
     conj = _artin_conjugators(b)
     return LongitudeSystem(
         b.strands, q, tuple(_zero_framed(conj[i], i) for i in conj)

@@ -50,9 +50,26 @@ def check_term_budget(m: int, q: int) -> None:
             )
 
 
+# Most integers all of one system's expansions may hold, eight series
+# at TERM_BUDGET.  m longitudes of width m at depth 2 hold about m^2
+# (1.15 GB at m = 12,000); three of width 3 at depth 13 hold 2,391,483.
+SYSTEM_TERM_BUDGET = 1 << 23
+
+
+def check_system_terms(widths: list[int], q: int) -> None:
+    # after check_term_budget(max(widths), q), so no power here is large
+    total = sum(q if m == 1 else (m**q - 1) // (m - 1) for m in widths)
+    if total > SYSTEM_TERM_BUDGET:
+        raise PreconditionError(
+            f"{len(widths)} series of degree bound {q} hold {total} terms, "
+            f"more than SYSTEM_TERM_BUDGET = {SYSTEM_TERM_BUDGET}"
+        )
+
+
 # Most letter-by-term updates one expansion may cost: each letter of a
 # word touches every term of the series.  Borromean PD at depth 10,
-# 57,216 arc letters by 29,524 terms, fits; depth 11 does not.
+# 57,216 arc letters by 29,524 terms, fits, so its weight-10 mu-bar
+# answers (in about 17 s); depth 11 does not.
 WORK_BUDGET = 10**10
 
 

@@ -11,10 +11,11 @@ Every read goes through :meth:`LongitudeSystem.expansion`, which expands
 each longitude once, at the system's depth.
 
 Weight-1 values are taken to be 0 and weight-1 indices are rejected.
-mu, delta, mu_bar and all_vanish_up_to read weights w <= depth - 1
-only (check_weight).  first_nonvanishing, and lcq through it, go on to
-w = depth, whose coefficients (of degree depth - 1) are still fixed by
-each longitude's coset mod F_depth.
+Every reader takes weights w <= depth only, checked in one place
+(check_weight): mu of weight w is a coefficient of degree w - 1, which
+each longitude's coset mod F_depth fixes once w <= depth (Milnor,
+"Isotopy of links", 1957: pi/pi_q determines every mu-bar of length
+<= q).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParseError, PreconditionError, shown
-from .magnus import NCSeries, check_term_budget, magnus_expand
+from .magnus import NCSeries, check_system_terms, check_term_budget, magnus_expand
 from .records import frozen_record
 from .words import Word
 
@@ -48,12 +49,14 @@ class LongitudeSystem:
             )
         # exponent sums[i - 1][g] of x_g in longitude i, one pass per word
         sums: list[dict[int, int]] = []
+        widths = []  # of each longitude's expansion, as magnus_expand takes it
         for i, w in enumerate(self.longitudes, start=1):
             high = w.max_generator()
             if high > self.m:
                 raise ValueError(
                     f"longitude {i} uses generator x{shown(high)} beyond m={self.m}"
                 )
+            widths.append(max(high, 1))
             counts: dict[int, int] = {}
             for g, s in w.letters:
                 counts[g] = counts.get(g, 0) + s
@@ -79,6 +82,7 @@ class LongitudeSystem:
                     f"{lk_ij} but x{i} in longitude {j} gives {lk_ji}"
                 )
         check_term_budget(self.m, self.depth)
+        check_system_terms(widths, self.depth)
         object.__setattr__(self, "_expansions", {})
 
     def linking(self, i: int, j: int) -> int:
@@ -125,17 +129,17 @@ def validate_index(system: LongitudeSystem, index) -> Index:
 
 
 def check_weight(system: LongitudeSystem, weight: int):
-    """Refuse a weight beyond the system's depth - 1."""
-    if weight > system.depth - 1:
+    """Refuse a weight beyond the system's depth."""
+    if weight > system.depth:
         raise PreconditionError(
             f"weight {shown(weight)} exceeds validity (depth {system.depth} "
-            f"allows weights up to {system.depth - 1})"
+            f"allows weights up to {system.depth})"
         )
 
 
 def _mu_raw(system: LongitudeSystem, index: Index) -> int:
-    # Coefficient read without the invariance bound; safe for weights up
-    # to depth since degree <= depth-1 terms are determined by the coset.
+    # Coefficient read without check_weight, for callers that checked a
+    # weight at least len(index) already.
     return system.expansion(index[-1]).coefficient(index[:-1])
 
 
@@ -146,13 +150,13 @@ def mu(system: LongitudeSystem, index) -> int:
     return _mu_raw(system, entries)
 
 
-# Most rotations of position subsets, k 2^(k-1) - 2k at weight k, an
-# index may have before delta refuses it; the distinct rotations that
-# delta enumerates are fewer.  TERM_BUDGET already caps every system of
-# two or more components below weight 20 (weight 19 counts 4,980,698),
-# so this fires only on one component, whose depths reach 2^20 and
-# whose subsequence closure still grows about cubically in the weight.
-SUBINDEX_BUDGET = 5_000_000
+# Most letters the rotations of an index's distinct subsequences may
+# hold before delta refuses it: the closure stops as soon as it passes
+# this.  TERM_BUDGET admits weight 20 on two components, where (12)^10
+# builds 5,275,350 letters.  One component reaches depth 2^20, and 1^k
+# keeps only k + 1 subsequences, yet their rotations copy about k^3 / 3
+# letters, so weights above 311 are refused.
+SUBINDEX_BUDGET = 10_000_000
 
 
 def proper_cyclic_subindices(index: Index) -> set[Index]:
@@ -161,23 +165,25 @@ def proper_cyclic_subindices(index: Index) -> set[Index]:
     A closure, each entry extending every subsequence so far, walks no
     position subsets: weight 19 takes 0.006-0.16 s instead of about 3 s.
     """
-    subs: set[Index] = {()}
-    for i in index:
-        subs |= {s + (i,) for s in subs}
     k = len(index)
+    subs: set[Index] = {()}
+    letters = 0
+    for i in index:
+        new = {s + (i,) for s in subs}.difference(subs)
+        letters += sum(len(s) ** 2 for s in new if 2 <= len(s) < k)
+        if letters > SUBINDEX_BUDGET:
+            raise PreconditionError(
+                f"the cyclic subindices of an index of weight {k} have more "
+                f"than SUBINDEX_BUDGET = {SUBINDEX_BUDGET} letters"
+            )
+        subs |= new
     return {s[r:] + s[:r] for s in subs if 2 <= len(s) < k for r in range(len(s))}
 
 
 def delta(system: LongitudeSystem, index) -> int:
     """gcd of mu over proper cyclic subindices; 0 for the empty set."""
     entries = validate_index(system, index)
-    k = len(entries)
-    check_weight(system, k)
-    if k * 2 ** (k - 1) - 2 * k > SUBINDEX_BUDGET:
-        raise PreconditionError(
-            f"an index of weight {k} has more than SUBINDEX_BUDGET = "
-            f"{SUBINDEX_BUDGET} cyclic subindices"
-        )
+    check_weight(system, len(entries))
     return math.gcd(*(_mu_raw(system, s) for s in proper_cyclic_subindices(entries)))
 
 
@@ -203,13 +209,9 @@ def first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
 
     Weight w takes each longitude's least degree w - 1 monomial
     (NCSeries.least_monomial), which skips a zero level without
-    decoding it.  Reads coefficients without the validity check, so q
-    may equal the system depth but not exceed it; None for q < 2.
+    decoding it.  None for q < 2.
     """
-    if q > system.depth:
-        raise PreconditionError(
-            f"weight {q} exceeds the system depth {system.depth}"
-        )
+    check_weight(system, q)
     for d in range(1, q):
         found = [
             mono + (j,)
@@ -223,7 +225,6 @@ def first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
 
 def all_vanish_up_to(system: LongitudeSystem, q: int) -> bool:
     """True iff every mu-bar residue of weight 2..q is zero."""
-    check_weight(system, q)
     return first_nonvanishing(system, q) is None
 
 

@@ -186,8 +186,6 @@ def weight_lt6_invariance_check(
     onto alpha.
     """
     _require_compatible(alpha, beta)
-    if alpha.depth < 5:
-        raise PreconditionError("weight-4 comparison needs depth >= 5")
     alpha2, beta2 = normalize_linking(alpha, beta)
     total = mutant(alpha2, beta2)
     lk_val = mu_bar(total, (1, 2))

@@ -19,7 +19,7 @@ mutant's ninth quotient is not free, as
 
 from __future__ import annotations
 
-from .errors import PreconditionError, shown
+from .errors import PreconditionError
 from .links import inverse_mirror
 from .milnor import (
     Index,
@@ -64,11 +64,7 @@ def lcq_is_free(system: LongitudeSystem, q: int) -> LcqReport:
     """
     if q < 2:
         raise PreconditionError("q must be at least 2")
-    if q > system.depth:
-        raise PreconditionError(
-            f"depth {system.depth} insufficient for quotient depth {shown(q)}"
-        )
-    witness = first_nonvanishing(system, q)
+    witness = first_nonvanishing(system, q)  # refuses q beyond the depth
     route_a = witness is None
 
     witness_relator = None

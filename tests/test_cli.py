@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mubar import cli
 from mubar.cli import main
 from mubar.corpus import corpus_files, hopf_pd
+from mubar.errors import shown
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -468,7 +469,7 @@ INPUT_CHECKS = {
         _MU, "3; A14", 2, "parse error: bad pure braid generator A1,4",
     ),
     "depth-below-required": (
-        ("mu", "--index", "12", "--depth", "2", "--link"), _pd_text(), 3,
+        ("mu", "--index", "112", "--depth", "2", "--link"), _pd_text(), 3,
         "precondition violated: --depth 2 is below the required 3",
     ),
     "values-not-json": (
@@ -630,9 +631,19 @@ OVERSIZED_INTEGERS = {
     "braid-generator": (
         _MU, f"2; A1,{_BIG}", 2, f"parse error: bad pure braid generator A1,{_CUT}",
     ),
+    "braid-exponent-digits": (
+        _MU, "2; A12^" + "9" * 5000, 2,
+        "parse error: bad braid token 'A12^" + "9" * 35 + "... (5006 characters) "
+        "(position 0): integer too long",
+    ),
+    "braid-strand-digits": (
+        _MU, "2; A" + "1" * 5000 + ",2", 2,
+        "parse error: bad braid token 'A" + "1" * 38 + "... (5005 characters) "
+        "(position 0): integer too long",
+    ),
     "braid-strands": (
         _MU, f"{_BIG}; A12", 3,
-        f"precondition violated: a series of degree bound 3 in {_CUT} variables {_TERMS}",
+        f"precondition violated: a series of degree bound 2 in {_CUT} variables {_TERMS}",
     ),
     "index": (
         ("mu", "--index", f"1,{_BIG}", "--link"), _SYSTEM, 3,
@@ -641,11 +652,12 @@ OVERSIZED_INTEGERS = {
     "weight": (
         ("vanish-up-to", "--weight", _BIG, "--link"), _SYSTEM, 3,
         f"precondition violated: weight {_CUT} exceeds validity (depth 3 allows "
-        "weights up to 2)",
+        "weights up to 3)",
     ),
     "q": (
         ("lcq", "--q", _BIG, "--link"), _SYSTEM, 3,
-        f"precondition violated: depth 3 insufficient for quotient depth {_CUT}",
+        f"precondition violated: weight {_CUT} exceeds validity (depth 3 allows "
+        "weights up to 3)",
     ),
     "massey-equal-ends": (
         ("massey-sum", "--index", f"1,{_BIG},1", "--values"), "{}", 3,
@@ -655,7 +667,7 @@ OVERSIZED_INTEGERS = {
     "depth-option": (
         ("mu", "--index", "12", "--depth", f"-{_BIG}", "--link"), _SYSTEM, 3,
         f"precondition violated: --depth -{_BIG[:39]}... (4001 characters) is below "
-        "the required 3",
+        "the required 2",
     ),
 }
 
@@ -746,6 +758,31 @@ class TestDepthHandling:
         assert code == 0
         assert json.loads(out) == {"all_vanish": True, "weight": 0}
 
+    @pytest.mark.parametrize("verb", ["mu", "mu-bar"])
+    def test_weight_equal_to_depth_answers(self, corpus_dir, capsys, verb):
+        # mu of weight w is a degree w - 1 coefficient, fixed mod F_w
+        link = str(corpus_dir / "hopf.json")
+        code, out, err = run(capsys, verb, "--link", link, "--index", "12", "--depth", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["mu"] == 1
+        # a depth-7 longitude-system file answers weight 7
+        link = str(corpus_dir / "l6.json")
+        code, out, err = run(capsys, "vanish-up-to", "--link", link, "--weight", "7")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"all_vanish": False, "weight": 7}
+
+    def test_weight_20_on_two_components_answers(self, tmp_path, capsys):
+        # TERM_BUDGET admits depth 20 on two components, and SUBINDEX_BUDGET
+        # the 35,416 rotated subindices of (12)^10
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(
+            {"m": 2, "depth": 20, "longitudes": ["x2 x1 x2^-1 x1^-1", "x1 x2 x1^-1 x2^-1"]}
+        ))
+        code, out, err = run(capsys, "mu-bar", "--link", str(path), "--index", "12" * 10)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["index"], report["delta"], report["residue"]) == ("12" * 10, 1, 0)
+
     def test_depth_option_truncates_system_file(self, corpus_dir, capsys):
         code, out, _ = run(
             capsys, "mu-bar", "--link", str(corpus_dir / "l6.json"),
@@ -793,7 +830,7 @@ class TestDepthHandling:
         code, out, _ = run(capsys, "mu", "--link", str(path), "--index", "12")
         assert code == 0
         assert json.loads(out) == {"index": "12", "mu": 0}
-        assert bounds == [3]
+        assert bounds == [2]
 
     def test_text_report_with_nested_lists(self, corpus_dir, capsys):
         code, out, _ = run(
@@ -841,23 +878,24 @@ class TestWorkBudget:
 
 class TestSubindexBudget:
     @pytest.mark.parametrize("verb", ["mu-bar", "delta"])
-    @pytest.mark.parametrize("weight", [20, 30])
+    @pytest.mark.parametrize("weight", [400, 1000])
     def test_one_component_long_index_exit_3(self, tmp_path, capsys, verb, weight):
-        # TERM_BUDGET admits depth 40 on one component; the rotations of
-        # a weight-20 index took about 5 s to enumerate
+        # TERM_BUDGET admits depth 1,000 on one component; the rotations
+        # of 1^k copy about k^3 / 3 letters, and the closure stops once
+        # they pass the budget
         path = tmp_path / "one.json"
-        path.write_text(json.dumps({"m": 1, "depth": 40, "longitudes": ["e"]}))
+        path.write_text(json.dumps({"m": 1, "depth": 1000, "longitudes": ["e"]}))
         start = time.process_time()
         code, out, err = run(capsys, verb, "--link", str(path), "--index", "1" * weight)
-        assert time.process_time() - start < 1
+        assert time.process_time() - start < 0.5
         assert (code, out) == (3, "")
         assert err == (
-            f"mubar: precondition violated: an index of weight {weight} has more "
-            "than SUBINDEX_BUDGET = 5000000 cyclic subindices\n"
+            f"mubar: precondition violated: the cyclic subindices of an index of "
+            f"weight {weight} have more than SUBINDEX_BUDGET = 10000000 letters\n"
         )
 
     def test_readme_names_the_budget(self):
-        assert "`mubar.milnor.SUBINDEX_BUDGET` = 5,000,000" in README.read_text()
+        assert "`mubar.milnor.SUBINDEX_BUDGET` = 10,000,000" in README.read_text()
 
 
 def _loaded_at_import(*names) -> str:
@@ -1049,6 +1087,70 @@ def _commutator_braid_text(rng: random.Random, strands: int, count: int) -> str:
         letters += word
     tokens = [f"A{i}{j}" + ("" if e == 1 else "^-1") for i, j, e in letters]
     return f"{strands}; " + " ".join(tokens) + "\n"
+
+
+class TestStrandLetterBudget:
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("20000; " + " ".join(["A12 A12^-1"] * 100) + "\n", "20000 strands by 200 letters"),
+            ("300; " + " ".join(["A12 A12^-1"] * 5000) + "\n", "300 strands by 10000 letters"),
+        ],
+        ids=["20000-strands", "10000-letters"],
+    )
+    def test_wide_or_long_braid_exit_3(self, tmp_path, capsys, text, named):
+        # composed letter by letter, these took 18 s and 11 s
+        path = tmp_path / "wide.braid"
+        path.write_text(text)
+        start = time.process_time()
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "2")
+        assert time.process_time() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            f"mubar: precondition violated: {named} is more than "
+            "STRAND_LETTER_BUDGET = 1000000 for the Artin route\n"
+        )
+
+
+class TestSystemTermBudget:
+    def test_wide_longitudes_exit_3(self, tmp_path, capsys):
+        # each of 12,000 longitudes would expand in 12,000 variables: about
+        # 144 million terms, 1.15 GB, where one series is within TERM_BUDGET
+        m = 12_000
+        longitudes = ["e", *[f"x{m} x1 x{m}^-1 x1^-1"] * (m - 2), "e"]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"m": m, "depth": 2, "longitudes": longitudes}))
+        start = time.process_time()
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "2")
+        assert time.process_time() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            "mubar: precondition violated: 12000 series of degree bound 2 hold "
+            "143988002 terms, more than SYSTEM_TERM_BUDGET = 8388608\n"
+        )
+
+
+_LONG = "x" * 100_000
+
+
+class TestLongArgv:
+    # argparse quotes an offending value whole; the parser cuts it as
+    # errors.shown does
+    @pytest.mark.parametrize(
+        "argv, quoted",
+        [
+            (["--format", _LONG, "mu", "--link", "a", "--index", "12"], _LONG),
+            ([_LONG], _LONG),
+            (["lcq", "--link", "a", "--q", "2", "--type", _LONG], _LONG),
+            (["lcq", "--link", "a", "--q", "9" * 5000], "9" * 5000),
+        ],
+        ids=["format", "verb", "lcq-type", "lcq-q"],
+    )
+    def test_quoted_value_is_cut(self, capsys, argv, quoted):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 400
+        assert f": {shown(quoted)}" in err
 
 
 class TestArtinLetterBudget:

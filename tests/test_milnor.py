@@ -15,7 +15,7 @@ from mubar.corpus import (
     random_realized_system,
 )
 from mubar.errors import ParseError, PreconditionError
-from mubar.links import artin_longitudes, longitudes_mod_q
+from mubar.links import artin_longitudes, braid_closure_pd, longitudes_mod_q
 from mubar.corpus import borromean_braid, hopf_braid, hopf_pd
 from mubar.magnus import lcs_depth
 import mubar.milnor
@@ -152,8 +152,10 @@ class TestMu:
                     assert mu(system, (i,) * weight) == 0
 
     def test_weight_exceeds_depth(self):
-        with pytest.raises(PreconditionError, match="weight"):
-            mu(hopf_type(depth=4), (1, 2, 1, 2))
+        # weight = depth is read; one more is refused
+        assert mu(hopf_type(depth=4), (1, 2, 1, 2)) == 0
+        with pytest.raises(PreconditionError, match=r"weight 5 exceeds .*up to 4\)"):
+            mu(hopf_type(depth=4), (1, 2, 1, 2, 1))
 
     def test_weight_one_rejected(self):
         with pytest.raises(PreconditionError):
@@ -272,8 +274,9 @@ class TestAllVanish:
         assert not all_vanish_up_to(system, 3)
 
     def test_depth_precondition(self):
-        with pytest.raises(PreconditionError):
-            all_vanish_up_to(hopf_type(depth=4), 4)
+        assert not all_vanish_up_to(hopf_type(depth=4), 4)
+        with pytest.raises(PreconditionError, match="weight 5 exceeds"):
+            all_vanish_up_to(hopf_type(depth=4), 5)
 
     def test_equivalent_to_relator_depth(self):
         rng = random.Random(41)
@@ -408,8 +411,32 @@ class TestScanAgainstResidueOracle:
             _assert_scans_agree(artin_longitudes(braid, 5))
 
     def test_weight_beyond_depth_refused(self):
-        with pytest.raises(PreconditionError, match="exceeds the system depth 4"):
+        with pytest.raises(PreconditionError, match=r"depth 4 allows weights up to 4\)"):
             first_nonvanishing(hopf_type(depth=4), 5)
+
+
+class TestMilnorDepthBound:
+    def test_depth_w_and_w_plus_1_agree(self):
+        # pi/pi_q fixes every mu-bar of length <= q (Milnor 1957): mu and
+        # Delta of every weight-w index read the same at depth w and w + 1,
+        # on random pure braid closures through both routes
+        rng = random.Random(59)
+        cases = 0
+        for k in range(80):
+            braid = random_pure_braid(rng, 3 if k % 5 < 2 else 2, rng.randint(0, 6))
+            routes = (
+                lambda q: longitudes_mod_q(braid_closure_pd(braid), q),
+                lambda q: artin_longitudes(braid, q),
+            )
+            for build in routes:
+                for w in range(2, 7 if braid.strands == 2 else 6):
+                    at_w, above = build(w), build(w + 1)
+                    for index in product(range(1, braid.strands + 1), repeat=w):
+                        assert (mu(at_w, index), delta(at_w, index)) == (
+                            mu(above, index), delta(above, index)
+                        ), (braid, w, index)
+                    cases += 1
+        assert cases == 736
 
 
 class TestCyclicSymmetry:
@@ -453,32 +480,68 @@ class TestIndexText:
             parse_index("0,1")
 
 
-def _rotations(k: int) -> int:
-    # what proper_cyclic_subindices enumerates before duplicates go
-    return sum(math.comb(k, size) * size for size in range(2, k))
+def _rotation_letters(index) -> int:
+    # what proper_cyclic_subindices builds before duplicates go: len(s)
+    # rotations of len(s) letters per distinct subsequence s of length
+    # 2..k-1.  count[L] is the number of distinct length-L subsequences;
+    # appending c extends each of them, less those extended at the
+    # previous c already.
+    k = len(index)
+    count = [1] + [0] * k
+    last: dict[int, list[int]] = {}
+    for c in index:
+        prev = count[:]
+        before = last.get(c, [0] * (k + 1))
+        for size in range(1, k + 1):
+            count[size] += prev[size - 1] - before[size - 1]
+        last[c] = prev
+    return sum(size * size * count[size] for size in range(2, k))
 
 
 class TestSubindexBudget:
-    def test_count_formula(self):
-        for k in range(2, 25):
-            assert _rotations(k) == k * 2 ** (k - 1) - 2 * k
+    def test_count_formula(self, monkeypatch):
+        # a budget of exactly the count admits the index, one less does not
+        for index in [*product((1, 2), repeat=8), *product((1, 2, 3), repeat=5)]:
+            k = len(index)
+            subs = {
+                tuple(index[p] for p in positions)
+                for size in range(2, k) for positions in combinations(range(k), size)
+            }
+            count = _rotation_letters(index)
+            assert count == sum(len(s) ** 2 for s in subs)
+            monkeypatch.setattr(mubar.milnor, "SUBINDEX_BUDGET", count)
+            assert proper_cyclic_subindices(index) == proper_cyclic_subindices_oracle(index)
+            monkeypatch.setattr(mubar.milnor, "SUBINDEX_BUDGET", count - 1)
+            with pytest.raises(PreconditionError, match=f"SUBINDEX_BUDGET = {count - 1} "):
+                proper_cyclic_subindices(index)
 
     def test_every_two_component_weight_answers(self):
-        # weight 19 is the most TERM_BUDGET admits on two components
-        assert _rotations(19) == 4_980_698 <= SUBINDEX_BUDGET < _rotations(20)
+        # weight 20 is the most TERM_BUDGET admits on two components; the
+        # alternating index builds the most letters at every weight
+        # through 12 here (and through 20, checked once in about 45 s)
+        for k in range(4, 13):
+            alternating = _rotation_letters(((1, 2) * k)[:k])
+            assert max(map(_rotation_letters, product((1, 2), repeat=k))) == alternating
+        assert _rotation_letters((1, 2) * 10) == 5_275_350 <= SUBINDEX_BUDGET
 
     def test_boundary(self, monkeypatch):
         # a budget of exactly the weight-6 count admits weight 6, not 7
-        monkeypatch.setattr(mubar.milnor, "SUBINDEX_BUDGET", _rotations(6))
+        monkeypatch.setattr(mubar.milnor, "SUBINDEX_BUDGET", _rotation_letters((1,) * 6))
         system = LongitudeSystem(1, 9, (Word(),))
         assert delta(system, (1,) * 6) == 0
-        with pytest.raises(PreconditionError, match=f"SUBINDEX_BUDGET = {_rotations(6)}"):
+        with pytest.raises(PreconditionError, match="SUBINDEX_BUDGET = 54 letters"):
             delta(system, (1,) * 7)
 
-    def test_weight_19_reaches_enumeration(self, monkeypatch):
-        # without enumerating: the check passes weight 19 on to the
-        # rotations, and refuses weight 20 before them
-        monkeypatch.setattr(mubar.milnor, "proper_cyclic_subindices", lambda index: set())
-        assert delta(LongitudeSystem(2, 20, (Word(), Word())), (1, 2) * 9 + (1,)) == 0
-        with pytest.raises(PreconditionError, match="SUBINDEX_BUDGET"):
-            delta(LongitudeSystem(1, 21, (Word(),)), (1,) * 20)
+    def test_weight_19_reaches_enumeration(self):
+        # weights 19 and 20 on two components answer; one component is
+        # refused above weight 311, and at weight 1,000 before the closure
+        # has built more than the budget
+        for index in ((1, 2) * 9 + (1,), (1, 2) * 10):
+            assert delta(LongitudeSystem(2, 20, (Word(), Word())), index) == 0
+        one = LongitudeSystem(1, 1000, (Word(),))
+        assert _rotation_letters((1,) * 311) <= SUBINDEX_BUDGET < _rotation_letters((1,) * 312)
+        assert delta(one, (1,) * 311) == 0
+        start = time.process_time()
+        with pytest.raises(PreconditionError, match="weight 1000 have more than SUBINDEX_BUDGET"):
+            delta(one, (1,) * 1000)
+        assert time.process_time() - start < 0.5

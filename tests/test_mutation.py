@@ -278,8 +278,10 @@ class TestWeightLt6:
             assert weight_lt6_invariance_check(alpha, beta)
 
     def test_depth_guard(self):
-        with pytest.raises(PreconditionError):
-            weight_lt6_invariance_check(hopf_type(4), hopf_type(4))
+        # mu_bar of 1122 needs depth 4, and checks it
+        assert weight_lt6_invariance_check(hopf_type(4), hopf_type(4))
+        with pytest.raises(PreconditionError, match="weight 4 exceeds"):
+            weight_lt6_invariance_check(hopf_type(3), hopf_type(3))
 
 
 def sub_borromean():

@@ -101,7 +101,7 @@ class TestLcqIsFree:
 
     def test_depth_guard(self):
         system = longitudes_mod_q(hopf_pd(), 3)
-        with pytest.raises(PreconditionError, match="insufficient"):
+        with pytest.raises(PreconditionError, match=r"weight 4 exceeds .*up to 3\)"):
             lcq_is_free(system, 4)
         with pytest.raises(PreconditionError):
             lcq_is_free(system, 1)
