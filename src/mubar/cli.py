@@ -60,6 +60,15 @@ class _Parser(argparse.ArgumentParser):
     # offending value whole, as the repr of a string, and shown() cuts it.
     _quoted = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*\"""")
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse joins unrecognized arguments unquoted; cut each one
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(
+                shown(a, is_repr=True) for a in extras
+            ))
+        return args
+
     def error(self, message):
         self.print_usage(sys.stderr)
         message = self._quoted.sub(lambda q: shown(q[0], is_repr=True), message)
@@ -189,9 +198,6 @@ def cmd_mutate_report(args) -> dict:
     index = parse_index(args.index)
     alpha = _load(args.alpha, args, len(index))
     beta = _load(args.beta, args, len(index))
-    if alpha.depth != beta.depth:
-        shared = min(alpha.depth, beta.depth)
-        alpha, beta = alpha.truncate(shared), beta.truncate(shared)
     return mutant_mu(alpha, beta, index, args.type).to_json()
 
 
@@ -237,6 +243,8 @@ def cmd_lcq(args) -> dict:
             raise UsageError("--mutant-of needs --type")
         alpha = _load(args.mutant_of, args, args.q)
         return mutative_pair_report(alpha, args.q, args.type).to_json()
+    if args.type is not None:
+        raise UsageError("--type needs --mutant-of")
     system = _load(args.link, args, args.q)
     return lcq_is_free(system, args.q).to_json()
 

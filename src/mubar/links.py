@@ -431,13 +431,17 @@ def braid_closure_pd(b: PureBraidWord) -> PDCode:
 
 
 def connected_sum(a: LongitudeSystem, b: LongitudeSystem) -> LongitudeSystem:
-    """Componentwise product of longitudes, meridians identified."""
+    """Componentwise product of longitudes, meridians identified.
+
+    Words known mod F_a and mod F_b multiply to words known mod
+    F_min(a,b), which fix every mu-bar of length <= min(a,b) (Milnor,
+    "Isotopy of links", 1957): the sum has the shallower depth.
+    """
     if a.m != b.m:
         raise PreconditionError(f"component counts differ: {a.m} != {b.m}")
-    if a.depth != b.depth:
-        raise PreconditionError(f"depths differ: {a.depth} != {b.depth}")
     return LongitudeSystem(
-        a.m, a.depth, tuple(u * v for u, v in zip(a.longitudes, b.longitudes))
+        a.m, min(a.depth, b.depth),
+        tuple(u * v for u, v in zip(a.longitudes, b.longitudes)),
     )
 
 

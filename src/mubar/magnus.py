@@ -33,7 +33,8 @@ from .words import Word
 Monomial = tuple[int, ...]
 
 # Most integers one series may hold, sum_{d<q} m^d for width m and bound
-# q.  The pipeline's largest use is m = 3 at q = 8 (3,280 terms).
+# q.  The pipeline's largest use is Borromean weight 10, m = 3 at
+# q = 10 (29,524 terms).
 TERM_BUDGET = 1 << 20
 
 

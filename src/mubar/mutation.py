@@ -13,7 +13,9 @@ The invariants of a mutant obey the congruence
 
 which this module both computes (as a :class:`MutantReport`) and
 cross-checks against the longitude system of the mutant built with the
-structural operations of :mod:`mubar.links`.
+structural operations of :mod:`mubar.links`.  The two halves may be
+known at different depths; the composite, as every connected sum, is
+valid at the shallower one, and a weight beyond it is refused.
 """
 
 from __future__ import annotations
@@ -103,10 +105,6 @@ def _require_two_components(system: LongitudeSystem):
 def _require_compatible(alpha: LongitudeSystem, beta: LongitudeSystem):
     _require_two_components(alpha)
     _require_two_components(beta)
-    if alpha.depth != beta.depth:
-        raise PreconditionError(
-            f"depths differ: {alpha.depth} != {beta.depth}"
-        )
 
 
 def mutant(
@@ -126,11 +124,12 @@ def _report(
 ) -> MutantReport:
     # composite is mutant(alpha, beta, tau); its expansions, like those
     # of alpha and beta, are cached across the reports of one caller.
+    # the composite, at the shallower depth, refuses a weight beyond it
     transformed = entries if tau is None else transform_index(entries, tau)
+    value = mu(composite, entries)
     mu_a = mu(alpha, entries)
     mu_bt = mu(beta, transformed)
     modulus = math.gcd(delta(alpha, entries), delta(beta, transformed))
-    value = mu(composite, entries)
     residue = residue_of(mu_a + mu_bt, modulus)
     return MutantReport(
         index=entries,
@@ -185,7 +184,6 @@ def weight_lt6_invariance_check(
     and weight-4 on the nose, after moving the linking number of beta
     onto alpha.
     """
-    _require_compatible(alpha, beta)
     alpha2, beta2 = normalize_linking(alpha, beta)
     total = mutant(alpha2, beta2)
     lk_val = mu_bar(total, (1, 2))

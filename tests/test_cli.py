@@ -1,7 +1,9 @@
 import gc
+import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -255,6 +257,11 @@ class TestLcqVerb:
             capsys, "lcq", "--mutant-of", str(corpus_dir / "l6.json"), "--q", "6"
         )
         assert code == 1
+        code, out, err = run(
+            capsys, "lcq", "--link", str(corpus_dir / "borromean.json"), "--q", "3",
+            "--type", "F",
+        )
+        assert (code, out, err) == (1, "", "mubar: error: --type needs --mutant-of\n")
 
 
 class TestErrorsAndFormats:
@@ -895,7 +902,23 @@ class TestSubindexBudget:
         )
 
     def test_readme_names_the_budget(self):
-        assert "`mubar.milnor.SUBINDEX_BUDGET` = 10,000,000" in README.read_text()
+        text = README.read_text()
+        assert "`mubar.milnor.SUBINDEX_BUDGET` = 10,000,000" in text
+        # every cap the exit-code paragraph names, at its live value
+        named = re.findall(r"`mubar\.(\w+)\.(\w+)` = ([\d,^]*\d)", text)
+        assert sorted((module, name) for module, name, _ in named) == [
+            ("brackets", "WEIGHT_CAP"),
+            ("links", "STRAND_LETTER_BUDGET"),
+            ("magnus", "SYSTEM_TERM_BUDGET"),
+            ("magnus", "TERM_BUDGET"),
+            ("magnus", "WORK_BUDGET"),
+            ("milnor", "SUBINDEX_BUDGET"),
+            ("words", "LETTER_BUDGET"),
+        ]
+        for module, name, value in named:
+            base, _, power = value.replace(",", "").partition("^")
+            live = getattr(importlib.import_module(f"mubar.{module}"), name)
+            assert int(base) ** int(power or 1) == live, name
 
 
 def _loaded_at_import(*names) -> str:
@@ -1151,6 +1174,15 @@ class TestLongArgv:
         assert (code, out) == (1, "")
         assert len(err.encode()) < 400
         assert f": {shown(quoted)}" in err
+
+    # argparse joins unrecognized arguments unquoted; each one is cut
+    @pytest.mark.parametrize("extra", [[_LONG], ["--", _LONG]], ids=["extra", "after-dashes"])
+    def test_unrecognized_argument_is_cut(self, capsys, extra):
+        code, out, err = run(capsys, "mu", "--link", "a", "--index", "12", *extra)
+        assert (code, out) == (1, "")
+        assert len(err.encode()) < 400
+        assert "unrecognized arguments: " in err
+        assert err.endswith(f"{shown(_LONG, is_repr=True)}\n")
 
 
 class TestArtinLetterBudget:

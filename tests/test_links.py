@@ -598,8 +598,10 @@ class TestConnectedSum:
     def test_mismatch_errors(self):
         with pytest.raises(PreconditionError):
             connected_sum(borromean_system(4), longitudes_mod_q(hopf_pd(), 4))
-        with pytest.raises(PreconditionError):
-            connected_sum(borromean_system(4), borromean_system(5))
+        # depths pair at the shallower one
+        assert connected_sum(borromean_system(4), borromean_system(5)) == (
+            connected_sum(borromean_system(4), borromean_system(5).truncate(4))
+        )
 
 
 class TestInverseMirror:

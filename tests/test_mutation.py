@@ -141,8 +141,55 @@ class TestCsumMu:
         three = LongitudeSystem(3, 5, (Word(), Word(), Word()))
         with pytest.raises(PreconditionError):
             mutant_mu(three, three, (1, 2))
-        with pytest.raises(PreconditionError):
-            mutant_mu(hopf_type(5), hopf_type(4), (1, 2))
+        # depths pair at the shallower one
+        assert mutant_mu(hopf_type(5), hopf_type(4), (1, 2)) == (
+            mutant_mu(hopf_type(4), hopf_type(4), (1, 2))
+        )
+
+
+def _declared_pair():
+    shallow = LongitudeSystem(
+        2, 4, (parse_word("x2 x1 x2 x1^-1"), parse_word("x1 x1"))
+    )
+    deep = LongitudeSystem(
+        2,
+        8,
+        (
+            generator(2) ** -1 * left_normed(2, 1, 1),
+            generator(1) ** -1 * left_normed(1, 2, 2, 1),
+        ),
+    )
+    return shallow, deep
+
+
+class TestSharedDepth:
+    """Two depths pair at the shallower one, as mutate-report reads them."""
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            lambda: (milnor_l6_system(7), longitudes_mod_q(hopf_pd(), 5)),
+            _declared_pair,
+        ],
+        ids=["l6-7-hopf-5", "words-4-8"],
+    )
+    def test_reports_equal_the_truncated_pair(self, pair, swap):
+        alpha, beta = pair()
+        if swap:
+            alpha, beta = beta, alpha
+        shared = min(alpha.depth, beta.depth)
+        alpha_t, beta_t = alpha.truncate(shared), beta.truncate(shared)
+        for weight in range(2, shared + 1):
+            for entries in product((1, 2), repeat=weight):
+                for tau in (None, *MUTATION_TYPES):
+                    assert mutant_mu(alpha, beta, entries, tau) == mutant_mu(
+                        alpha_t, beta_t, entries, tau
+                    )
+        with pytest.raises(
+            PreconditionError, match=f"depth {shared} allows weights up to {shared}"
+        ):
+            mutant_mu(alpha, beta, (1,) * shared + (2,))
 
 
 class TestConnectedSumAgainstOracle:
