@@ -122,9 +122,10 @@ def _report(
     entries: Index,
     tau: str | None,
 ) -> MutantReport:
-    # composite is mutant(alpha, beta, tau); its expansions, like those
-    # of alpha and beta, are cached across the reports of one caller.
-    # the composite, at the shallower depth, refuses a weight beyond it
+    # composite is mutant(alpha, beta, tau), at the shallower depth, so
+    # it is read first and refuses a weight beyond that depth.  Its
+    # expansions, like those of alpha and beta, are cached across the
+    # reports of one caller.
     transformed = entries if tau is None else transform_index(entries, tau)
     value = mu(composite, entries)
     mu_a = mu(alpha, entries)
