@@ -179,6 +179,7 @@ class TestSharedDepth:
         if swap:
             alpha, beta = beta, alpha
         shared = min(alpha.depth, beta.depth)
+        assert connected_sum(alpha, beta).depth == shared
         alpha_t, beta_t = alpha.truncate(shared), beta.truncate(shared)
         for weight in range(2, shared + 1):
             for entries in product((1, 2), repeat=weight):
