@@ -90,7 +90,13 @@ class LongitudeSystem:
         return self.longitudes[i - 1].exponent_sum(j)
 
     def truncate(self, depth: int) -> "LongitudeSystem":
-        """The same words viewed at a shallower validity depth."""
+        """The same words viewed at a shallower validity depth.
+
+        At the system's own depth this is the system itself, so its
+        cached expansions are kept.
+        """
+        if depth == self.depth:
+            return self
         if depth < 2:
             raise PreconditionError("depth must be at least 2")
         if depth > self.depth:

@@ -15,7 +15,8 @@ which this module both computes (as a :class:`MutantReport`) and
 cross-checks against the longitude system of the mutant built with the
 structural operations of :mod:`mubar.links`.  The two halves may be
 known at different depths; the composite, as every connected sum, is
-valid at the shallower one, and a weight beyond it is refused.
+valid at the shallower one, the halves are read at that depth too, and
+a weight beyond it is refused.
 """
 
 from __future__ import annotations
@@ -152,7 +153,12 @@ def mutant_mu(
     tau=None is the connected sum alpha # beta, where I^tau = I.
     """
     composite = mutant(alpha, beta, tau)
-    return _report(alpha, beta, composite, validate_index(alpha, index), tau)
+    # a report reads the halves no deeper than the composite
+    depth = composite.depth
+    return _report(
+        alpha.truncate(depth), beta.truncate(depth), composite,
+        validate_index(alpha, index), tau,
+    )
 
 
 def normalize_linking(
@@ -187,6 +193,7 @@ def weight_lt6_invariance_check(
     """
     alpha2, beta2 = normalize_linking(alpha, beta)
     total = mutant(alpha2, beta2)
+    alpha2, beta2 = alpha2.truncate(total.depth), beta2.truncate(total.depth)
     lk_val = mu_bar(total, (1, 2))
     sato = mu_bar(total, (1, 1, 2, 2))
     for tau in MUTATION_TYPES:

@@ -819,6 +819,37 @@ class TestDepthHandling:
             "residue": 3,
         }
 
+    def test_mutate_report_expands_at_the_shallower_depth(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import mubar.milnor
+
+        bounds = []
+        expand = mubar.milnor.magnus_expand
+
+        def recording(w, q):
+            bounds.append(q)
+            return expand(w, q)
+
+        monkeypatch.setattr(mubar.milnor, "magnus_expand", recording)
+        shallow = tmp_path / "depth4.json"
+        shallow.write_text(json.dumps(
+            {"m": 2, "depth": 4, "longitudes": ["x2 x1 x2 x1^-1", "x1 x1"]}
+        ))
+        # a 10,000-letter longitude: past WORK_BUDGET if expanded at 20
+        deep = tmp_path / "depth20.json"
+        deep.write_text(json.dumps(
+            {"m": 2, "depth": 20, "longitudes": ["x2 x1 x2^-1 x1^-1 " * 2500, "e"]}
+        ))
+        for alpha, beta in ((shallow, deep), (deep, shallow)):
+            code, out, _ = run(
+                capsys, "mutate-report", "--alpha", str(alpha), "--beta", str(beta),
+                "--index", "1122", "--depth", "20",
+            )
+            assert code == 0
+            assert json.loads(out)["congruent"] is True
+        assert set(bounds) == {4}
+
     def test_deep_system_file_expanded_at_verb_depth(self, tmp_path, capsys, monkeypatch):
         import mubar.milnor
 

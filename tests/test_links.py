@@ -598,10 +598,14 @@ class TestConnectedSum:
     def test_mismatch_errors(self):
         with pytest.raises(PreconditionError):
             connected_sum(borromean_system(4), longitudes_mod_q(hopf_pd(), 4))
-        # depths pair at the shallower one
-        assert connected_sum(borromean_system(4), borromean_system(5)) == (
-            connected_sum(borromean_system(4), borromean_system(5).truncate(4))
-        )
+
+    def test_depths_pair_at_the_shallower_one(self):
+        for a, b in ((4, 5), (5, 4)):
+            total = connected_sum(borromean_system(a), borromean_system(b))
+            assert total.depth == 4
+            assert total == connected_sum(
+                borromean_system(a).truncate(4), borromean_system(b).truncate(4)
+            )
 
 
 class TestInverseMirror:

@@ -174,10 +174,17 @@ class TestSharedDepth:
         ],
         ids=["l6-7-hopf-5", "words-4-8"],
     )
-    def test_reports_equal_the_truncated_pair(self, pair, swap):
+    def test_reports_equal_the_truncated_pair(self, pair, swap, monkeypatch):
+        import mubar.milnor
+
         alpha, beta = pair()
         if swap:
             alpha, beta = beta, alpha
+        bounds = []
+        expand = mubar.milnor.magnus_expand
+        monkeypatch.setattr(
+            mubar.milnor, "magnus_expand", lambda w, q: bounds.append(q) or expand(w, q)
+        )
         shared = min(alpha.depth, beta.depth)
         assert connected_sum(alpha, beta).depth == shared
         alpha_t, beta_t = alpha.truncate(shared), beta.truncate(shared)
@@ -191,6 +198,8 @@ class TestSharedDepth:
             PreconditionError, match=f"depth {shared} allows weights up to {shared}"
         ):
             mutant_mu(alpha, beta, (1,) * shared + (2,))
+        # no half is expanded deeper than the reports read it
+        assert set(bounds) == {shared}
 
 
 class TestConnectedSumAgainstOracle:
