@@ -90,11 +90,7 @@ class LongitudeSystem:
         return self.longitudes[i - 1].exponent_sum(j)
 
     def truncate(self, depth: int) -> "LongitudeSystem":
-        """The same words viewed at a shallower validity depth.
-
-        At the system's own depth this is the system itself, so its
-        cached expansions are kept.
-        """
+        """The same words at a shallower validity depth, or itself at its own."""
         if depth == self.depth:
             return self
         if depth < 2:

@@ -14,9 +14,8 @@ The invariants of a mutant obey the congruence
 which this module both computes (as a :class:`MutantReport`) and
 cross-checks against the longitude system of the mutant built with the
 structural operations of :mod:`mubar.links`.  The two halves may be
-known at different depths; the composite, as every connected sum, is
-valid at the shallower one, the halves are read at that depth too, and
-a weight beyond it is refused.
+known at different depths; they and their connected sum are read at
+the shallower one, and a weight beyond it is refused.
 """
 
 from __future__ import annotations
@@ -96,23 +95,19 @@ class MutantReport:
         }
 
 
-def _require_two_components(system: LongitudeSystem):
-    if system.m != 2:
-        raise PreconditionError(
-            f"bi-mutation calculus needs 2-component systems, got m={system.m}"
-        )
-
-
-def _require_compatible(alpha: LongitudeSystem, beta: LongitudeSystem):
-    _require_two_components(alpha)
-    _require_two_components(beta)
+def _require_two_components(*systems: LongitudeSystem):
+    for system in systems:
+        if system.m != 2:
+            raise PreconditionError(
+                f"bi-mutation calculus needs 2-component systems, got m={system.m}"
+            )
 
 
 def mutant(
     alpha: LongitudeSystem, beta: LongitudeSystem, tau: str | None = None
 ) -> LongitudeSystem:
     """The composite alpha # beta^tau; tau=None is the connected sum."""
-    _require_compatible(alpha, beta)
+    _require_two_components(alpha, beta)
     return connected_sum(alpha, beta if tau is None else apply_mutation(beta, tau))
 
 
@@ -123,10 +118,11 @@ def _report(
     entries: Index,
     tau: str | None,
 ) -> MutantReport:
-    # composite is mutant(alpha, beta, tau), at the shallower depth, so
-    # it is read first and refuses a weight beyond that depth.  Its
-    # expansions, like those of alpha and beta, are cached across the
-    # reports of one caller.
+    # composite is mutant(alpha, beta, tau), at the shallower depth; it is
+    # read first and refuses a weight beyond that depth, and the halves are
+    # read at its depth.  Expansions are cached across the reports of one
+    # caller, which passes the halves at that depth if it makes several.
+    alpha, beta = alpha.truncate(composite.depth), beta.truncate(composite.depth)
     transformed = entries if tau is None else transform_index(entries, tau)
     value = mu(composite, entries)
     mu_a = mu(alpha, entries)
@@ -153,12 +149,7 @@ def mutant_mu(
     tau=None is the connected sum alpha # beta, where I^tau = I.
     """
     composite = mutant(alpha, beta, tau)
-    # a report reads the halves no deeper than the composite
-    depth = composite.depth
-    return _report(
-        alpha.truncate(depth), beta.truncate(depth), composite,
-        validate_index(alpha, index), tau,
-    )
+    return _report(alpha, beta, composite, validate_index(alpha, index), tau)
 
 
 def normalize_linking(
@@ -170,7 +161,7 @@ def normalize_linking(
     before beta, so that the composite words, hence all mu values of the
     sum, are unchanged verbatim, while lk(beta') = 0, lk(alpha') = lk(sum).
     """
-    _require_compatible(alpha, beta)
+    _require_two_components(alpha, beta)
     k = beta.linking(1, 2)
     if k == 0:
         return alpha, beta

@@ -25,7 +25,7 @@ from mubar.milnor import (
 from mubar.mutation import (
     MUTATION_TYPES,
     MutantReport,
-    _require_compatible,
+    _require_two_components,
     apply_mutation,
     find_detector,
     mutant_mu,
@@ -45,7 +45,7 @@ from mubar.words import Word, generator, left_normed, parse_word
 def normalize_linking_oracle(
     alpha: LongitudeSystem, beta: LongitudeSystem
 ) -> tuple[LongitudeSystem, LongitudeSystem]:
-    _require_compatible(alpha, beta)
+    _require_two_components(alpha, beta)
     k = beta.linking(1, 2)
     if k == 0:
         return alpha, beta
@@ -67,7 +67,7 @@ def normalize_linking_oracle(
 
 def csum_mu(alpha: LongitudeSystem, beta: LongitudeSystem, index) -> MutantReport:
     """Connected-sum congruence: mu_L(I) = mu_a(I) + mu_b(I) mod D(I)."""
-    _require_compatible(alpha, beta)
+    _require_two_components(alpha, beta)
     entries = validate_index(alpha, index)
     mu_a = mu(alpha, entries)
     mu_b = mu(beta, entries)
@@ -194,6 +194,9 @@ class TestSharedDepth:
                     assert mutant_mu(alpha, beta, entries, tau) == mutant_mu(
                         alpha_t, beta_t, entries, tau
                     )
+        assert weight_lt6_invariance_check(alpha, beta) == (
+            weight_lt6_invariance_check(alpha_t, beta_t)
+        )
         with pytest.raises(
             PreconditionError, match=f"depth {shared} allows weights up to {shared}"
         ):
