@@ -121,7 +121,7 @@ def _report(
     # composite is mutant(alpha, beta, tau), at the shallower depth; it is
     # read first and refuses a weight beyond that depth, and the halves are
     # read at its depth.  Expansions are cached across the reports of one
-    # caller, which passes the halves at that depth if it makes several.
+    # caller, for halves already at that depth.
     alpha, beta = alpha.truncate(composite.depth), beta.truncate(composite.depth)
     transformed = entries if tau is None else transform_index(entries, tau)
     value = mu(composite, entries)
@@ -184,7 +184,6 @@ def weight_lt6_invariance_check(
     """
     alpha2, beta2 = normalize_linking(alpha, beta)
     total = mutant(alpha2, beta2)
-    alpha2, beta2 = alpha2.truncate(total.depth), beta2.truncate(total.depth)
     lk_val = mu_bar(total, (1, 2))
     sato = mu_bar(total, (1, 1, 2, 2))
     for tau in MUTATION_TYPES:
