@@ -46,8 +46,8 @@ from .milnor import (
     mu_bar,
     parse_index,
 )
-from .mutation import MUTATION_TYPES, find_detector, mutant_mu
-from .surgery import lcq_is_free, mutative_pair_report
+from .mutation import MUTATION_TYPES, find_detector, mutant_mu, mutative_pair_report
+from .surgery import lcq_is_free
 from .words import parse_word
 
 class UsageError(Exception):

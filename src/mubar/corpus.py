@@ -127,19 +127,18 @@ def random_pure_braid(rng: Random, strands: int, length: int) -> PureBraidWord:
 def random_realized_system(
     rng: Random,
     depth: int = 5,
-    max_strands: int = 4,
-    max_length: int = 8,
     linking: int | None = None,
 ) -> LongitudeSystem:
     """A random 2-component longitude system realized by a link.
 
-    Closes a random pure braid and keeps two random strands.  A target
-    ``linking`` number is set by appending full twists between the two
-    kept strands before closing (the abelianized braid carries the
-    pairwise linking numbers), so the result stays an honest link.
+    Closes a random pure braid, of 2 to 4 strands and at most 8 letters,
+    and keeps two random strands.  A target ``linking`` number is set by
+    appending full twists between the two kept strands before closing
+    (the abelianized braid carries the pairwise linking numbers), so the
+    result stays an honest link.
     """
-    strands = rng.randint(2, max_strands)
-    letters = list(random_pure_braid(rng, strands, rng.randint(0, max_length)).letters)
+    strands = rng.randint(2, 4)
+    letters = list(random_pure_braid(rng, strands, rng.randint(0, 8)).letters)
     i = rng.randint(1, strands - 1)
     j = rng.randint(i + 1, strands)
     if linking is not None:

@@ -16,6 +16,15 @@ cross-checks against the longitude system of the mutant built with the
 structural operations of :mod:`mubar.links`.  The two halves may be
 known at different depths; they and their connected sum are read at
 the shallower one, and a weight beyond it is refused.
+
+A mutative pair is a ribbon sum alpha # inverse_mirror(alpha) together
+with one of its bi-mutants: when a detector index exists, the sum's
+quotient is free and the mutant's is not, so the two surgery manifolds
+have different q-th lower central quotients (:mod:`mubar.surgery`).
+The paper's weight-9 self-mutant is decided by minimal linkings instead
+(mubar.brackets): mu-bar(122121222) evaluates to -20 on the paper's
+values, so that mutant's ninth quotient is not free, as
+``mubar massey-sum --index 122121222 --values star.json`` prints.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .milnor import (
     validate_index,
 )
 from .records import frozen_record
+from .surgery import LcqReport, lcq_is_free
 from .words import generator
 
 MUTATION_TYPES = ("F", "R", "FR")
@@ -219,26 +229,55 @@ def find_detector(alpha: LongitudeSystem, q: int, tau: str) -> list[Index]:
             f"nonvanishing lower-weight invariant at index "
             f"{format_index(witness)}"
         )
+
+    def coefficient(entries: Index) -> int:
+        return alpha.expansion(entries[-1]).coefficient(entries[:-1])
+
     out: list[Index] = []
     for entries in product((1, 2), repeat=q):
-        if mu(alpha, entries) != mu(alpha, transform_index(entries, tau)):
+        if coefficient(entries) != coefficient(transform_index(entries, tau)):
             out.append(entries)
     return out
 
 
-def witnessed_mutant(
-    alpha: LongitudeSystem, q: int, tau: str
-) -> tuple[LongitudeSystem | None, list[MutantReport]]:
-    """The tau-mutant of alpha # inverse_mirror(alpha) and its reports.
+@frozen_record
+class MutativePairReport:
+    """A ribbon sum and a bi-mutant with different lower central quotients."""
 
-    The mutant has vanishing residues below weight q (checked) and, at
-    each detector index, the nonvanishing weight-q value
-    mu_alpha(I) - mu_alpha(I^tau).  Without a detector the mutant is not
-    built: the result is (None, []).
+    q: int
+    mutation: str
+    found: bool
+    detectors: tuple[Index, ...] = ()
+    ribbon_sum: LcqReport | None = None
+    mutant: LcqReport | None = None
+    witnesses: tuple[MutantReport, ...] = ()
+
+    def to_json(self) -> dict:
+        return {
+            "q": self.q,
+            "mutation": self.mutation,
+            "found": self.found,
+            "detectors": [format_index(d) for d in self.detectors],
+            "ribbon_sum": None if self.ribbon_sum is None else self.ribbon_sum.to_json(),
+            "mutant": None if self.mutant is None else self.mutant.to_json(),
+            "witnesses": [r.to_json() for r in self.witnesses],
+        }
+
+
+def mutative_pair_report(
+    alpha: LongitudeSystem, q: int, tau: str
+) -> MutativePairReport:
+    """Exhibit distinct q-th lower central quotients across a mutation.
+
+    Builds L = alpha # inverse_mirror(alpha) and its tau-mutant, which has
+    vanishing residues below weight q (checked) and, at each detector
+    index I, the nonvanishing weight-q value mu_alpha(I) - mu_alpha(I^tau);
+    the report shows lcq_is_free(L, q) free and lcq_is_free(mutant, q) not.
+    Without a detector nothing is built and the report states the negative.
     """
     detectors = find_detector(alpha, q, tau)
     if not detectors:
-        return None, []
+        return MutativePairReport(q=q, mutation=tau, found=False)
     beta = inverse_mirror(alpha)
     composite = mutant(alpha, beta, tau)
     witness = first_nonvanishing(composite, q - 1)
@@ -247,6 +286,12 @@ def witnessed_mutant(
             f"mutant has nonvanishing lower-weight invariant at "
             f"{format_index(witness)}"
         )
-    return composite, [
-        _report(alpha, beta, composite, entries, tau) for entries in detectors
-    ]
+    return MutativePairReport(
+        q=q,
+        mutation=tau,
+        found=True,
+        detectors=tuple(detectors),
+        ribbon_sum=lcq_is_free(mutant(alpha, beta), q),
+        mutant=lcq_is_free(composite, q),
+        witnesses=tuple(_report(alpha, beta, composite, d, tau) for d in detectors),
+    )

@@ -44,9 +44,9 @@ from mubar.mutation import (
     apply_mutation,
     find_detector,
     mutant_mu,
+    mutative_pair_report,
     transform_index,
     weight_lt6_invariance_check,
-    witnessed_mutant,
 )
 from mubar.surgery import lcq_is_free
 from mubar.words import Word, commutator, generator, left_normed
@@ -311,7 +311,7 @@ def test_criterion_10_weight6_detector():
     assert mu_bar(alpha, (2, 2, 1, 1, 1, 1)).residue == 0
     detectors = find_detector(alpha, 6, "F")
     assert (1, 1, 2, 2, 2, 2) in detectors
-    _, reports = witnessed_mutant(alpha, 6, "F")
+    reports = mutative_pair_report(alpha, 6, "F").witnesses
     assert reports, "expected nonvanishing weight-6 mutant invariants"
     for report in reports:
         assert report.modulus == 0

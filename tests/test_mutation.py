@@ -29,10 +29,10 @@ from mubar.mutation import (
     apply_mutation,
     find_detector,
     mutant_mu,
+    mutative_pair_report,
     normalize_linking,
     transform_index,
     weight_lt6_invariance_check,
-    witnessed_mutant,
 )
 from mubar.words import Word, generator, left_normed, parse_word
 
@@ -386,7 +386,7 @@ class TestFindDetector:
 class TestTheoremMainWitness:
     def test_l6_witnesses(self):
         alpha = milnor_l6_system()
-        _, reports = witnessed_mutant(alpha, 6, "F")
+        reports = mutative_pair_report(alpha, 6, "F").witnesses
         assert reports
         for report in reports:
             assert report.modulus == 0
@@ -400,7 +400,7 @@ class TestTheoremMainWitness:
         alpha = LongitudeSystem(
             2, 7, (left_normed(2, 1, 1, 2, 1), left_normed(1, 2, 2, 1, 2))
         )
-        _, reports = witnessed_mutant(alpha, 6, "F")
+        reports = mutative_pair_report(alpha, 6, "F").witnesses
         for report in reports:
             expected = mu(alpha, report.index) - mu(
                 alpha, transform_index(report.index, "F")
@@ -409,7 +409,7 @@ class TestTheoremMainWitness:
             assert report.congruent
 
     def test_trivial_alpha_vacuous(self):
-        assert witnessed_mutant(trivial(7), 6, "F") == (None, [])
+        assert mutative_pair_report(trivial(7), 6, "F").witnesses == ()
 
 
 class TestApplyMutation:

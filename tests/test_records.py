@@ -24,8 +24,8 @@ from mubar import corpus
 from mubar.brackets import LinkingExpr, massey_sum
 from mubar.links import Crossing, PDCode, PureBraidWord, artin_longitudes, longitudes_mod_q
 from mubar.milnor import LongitudeSystem, MuValue, mu_bar
-from mubar.mutation import MutantReport, mutant_mu
-from mubar.surgery import LcqReport, MutativePairReport, lcq_is_free, mutative_pair_report
+from mubar.mutation import MutantReport, MutativePairReport, mutant_mu, mutative_pair_report
+from mubar.surgery import LcqReport, lcq_is_free
 from mubar.words import Word, generator
 
 SRC = Path(__file__).resolve().parent.parent / "src"

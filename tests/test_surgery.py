@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +33,15 @@ from mubar.links import (
     longitudes_mod_q,
 )
 from mubar.milnor import LongitudeSystem
-from mubar.mutation import MUTATION_TYPES, apply_mutation, find_detector, mutant_mu
-from mubar.surgery import (
+from mubar.mutation import (
+    MUTATION_TYPES,
     MutativePairReport,
-    lcq_is_free,
+    apply_mutation,
+    find_detector,
+    mutant_mu,
     mutative_pair_report,
 )
+from mubar.surgery import lcq_is_free
 from mubar.magnus import lcs_depth
 from mubar.words import Word, commutator, left_normed
 
@@ -221,6 +228,22 @@ class TestRouteBDepth:
         for v in factors[1:]:
             w = commutator(w, v)
         assert (lcs_depth(w, q) < q) == (lcs_depth(w, q + 1) < q)
+
+
+class TestLayering:
+    def test_import_loads_neither_links_nor_mutation(self):
+        # the mutative pair is built in mutation, which imports surgery;
+        # -S skips site, as TestStartup in test_cli does
+        probe = (
+            "import sys, mubar.surgery; "
+            "print(sorted({'mubar.links', 'mubar.mutation'} & set(sys.modules)))"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 class TestMutativePair:
