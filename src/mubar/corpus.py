@@ -1,4 +1,4 @@
-"""Bundled example links and generators of random realized systems.
+"""Bundled example links.
 
 The installable corpus consists of PD codes for the 2-component unlink,
 the positive Hopf link and the Borromean rings, braid words for the
@@ -6,15 +6,6 @@ latter two, a transcription of the 2-component link whose only
 nonvanishing invariants have weight 6 (the classical detector for
 component-exchange mutation), and the minimal-linking values of the
 weight-9 self-mutation example.
-
-Random realized systems are closures of random pure braids with two
-components kept and the others deleted, twisted before closing when a
-target linking number is requested; everything produced this way is the
-longitude system of an actual link, so identities that hold for links
-(cyclic symmetry, the binomial weight-3 residues, ...) may be asserted
-on them.  Their ``rng`` is a ``random.Random``; the name is only an
-annotation, which nothing evaluates, so start-up does not import
-``random``.
 """
 
 from __future__ import annotations
@@ -23,14 +14,7 @@ import errno
 import json
 import os
 
-from .links import (
-    Crossing,
-    PDCode,
-    PureBraidWord,
-    artin_longitudes,
-    format_braid,
-    reorder,
-)
+from .links import Crossing, PDCode, PureBraidWord, format_braid
 from .milnor import LongitudeSystem
 from .words import commutator, format_word, generator, left_normed
 
@@ -86,19 +70,6 @@ def borromean_braid() -> PureBraidWord:
     )
 
 
-def borromean_system(depth: int = 4) -> LongitudeSystem:
-    """The symmetric abstract model: each longitude a 2-commutator."""
-    return LongitudeSystem(
-        3,
-        depth,
-        (
-            commutator(generator(2), generator(3)),
-            commutator(generator(3), generator(1)),
-            commutator(generator(1), generator(2)),
-        ),
-    )
-
-
 def milnor_l6_system(depth: int = 7) -> LongitudeSystem:
     """Weight-6 detector link: vanishing below 6, mu-bar(112222) = -1.
 
@@ -114,41 +85,6 @@ def milnor_l6_system(depth: int = 7) -> LongitudeSystem:
         commutator(generator(1), generator(2)), left_normed(1, 2, 2)
     )
     return LongitudeSystem(2, depth, (w1, w2))
-
-
-def random_pure_braid(rng: Random, strands: int, length: int) -> PureBraidWord:
-    pairs = [(i, j) for i in range(1, strands + 1) for j in range(i + 1, strands + 1)]
-    letters = tuple(
-        (*rng.choice(pairs), rng.choice((1, -1))) for _ in range(length)
-    )
-    return PureBraidWord(strands, letters)
-
-
-def random_realized_system(
-    rng: Random,
-    depth: int = 5,
-    linking: int | None = None,
-) -> LongitudeSystem:
-    """A random 2-component longitude system realized by a link.
-
-    Closes a random pure braid, of 2 to 4 strands and at most 8 letters,
-    and keeps two random strands.  A target ``linking`` number is set by
-    appending full twists between the two kept strands before closing
-    (the abelianized braid carries the pairwise linking numbers), so the
-    result stays an honest link.
-    """
-    strands = rng.randint(2, 4)
-    letters = list(random_pure_braid(rng, strands, rng.randint(0, 8)).letters)
-    i = rng.randint(1, strands - 1)
-    j = rng.randint(i + 1, strands)
-    if linking is not None:
-        current = sum(e for a, b, e in letters if (a, b) == (i, j))
-        diff = linking - current
-        if diff:
-            sign = 1 if diff > 0 else -1
-            letters.extend([(i, j, sign)] * abs(diff))
-    full = artin_longitudes(PureBraidWord(strands, tuple(letters)), depth)
-    return reorder(full, (i, j))
 
 
 # ---------------------------------------------------------------------------

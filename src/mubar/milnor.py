@@ -119,6 +119,7 @@ class MuValue:
 
 
 def validate_index(system: LongitudeSystem, index) -> Index:
+    """The index as a tuple, refused unless its weight and entries fit system."""
     entries = tuple(int(i) for i in index)
     if len(entries) < 2:
         raise PreconditionError(f"index {entries} has weight < 2")
@@ -127,6 +128,7 @@ def validate_index(system: LongitudeSystem, index) -> Index:
             raise PreconditionError(
                 f"index entry {shown(i)} out of range for a {system.m}-component link"
             )
+    check_weight(system, len(entries))
     return entries
 
 
@@ -139,17 +141,14 @@ def check_weight(system: LongitudeSystem, weight: int):
         )
 
 
-def _mu_raw(system: LongitudeSystem, index: Index) -> int:
-    # Coefficient read without check_weight, for callers that checked a
-    # weight at least len(index) already.
+def raw_mu(system: LongitudeSystem, index: Index) -> int:
+    """mu(I) with no checks; callers validated I."""
     return system.expansion(index[-1]).coefficient(index[:-1])
 
 
 def mu(system: LongitudeSystem, index) -> int:
     """mu(i_1...i_k j): Magnus coefficient of X_{i_1}..X_{i_k} in w_j."""
-    entries = validate_index(system, index)
-    check_weight(system, len(entries))
-    return _mu_raw(system, entries)
+    return raw_mu(system, validate_index(system, index))
 
 
 # Most letters the rotations of an index's distinct subsequences may
@@ -185,8 +184,7 @@ def proper_cyclic_subindices(index: Index) -> set[Index]:
 def delta(system: LongitudeSystem, index) -> int:
     """gcd of mu over proper cyclic subindices; 0 for the empty set."""
     entries = validate_index(system, index)
-    check_weight(system, len(entries))
-    return math.gcd(*(_mu_raw(system, s) for s in proper_cyclic_subindices(entries)))
+    return math.gcd(*(raw_mu(system, s) for s in proper_cyclic_subindices(entries)))
 
 
 def mu_bar(system: LongitudeSystem, index) -> MuValue:

@@ -43,6 +43,7 @@ from .milnor import (
     format_index,
     mu,
     mu_bar,
+    raw_mu,
     residue_of,
     validate_index,
 )
@@ -55,17 +56,17 @@ MUTATION_TYPES = ("F", "R", "FR")
 
 def transform_index(index, tau: str) -> Index:
     """I^F exchanges 1 and 2, I^R reverses, I^FR does both."""
-    entries = tuple(int(i) for i in index)
-    if any(i not in (1, 2) for i in entries):
+    entries = tuple(map(int, index))
+    if not {1, 2}.issuperset(entries):
         raise PreconditionError(
             f"index {format_index(entries)} uses components other than 1,2"
         )
     if tau not in MUTATION_TYPES:
         raise PreconditionError(f"unknown mutation type {tau!r}")
     if "F" in tau:
-        entries = tuple(3 - i for i in entries)
+        entries = tuple(map((3).__sub__, entries))
     if "R" in tau:
-        entries = tuple(reversed(entries))
+        entries = entries[::-1]
     return entries
 
 
@@ -128,10 +129,8 @@ def _report(
     entries: Index,
     tau: str | None,
 ) -> MutantReport:
-    # composite is mutant(alpha, beta, tau), at the shallower depth; it is
-    # read first and refuses a weight beyond that depth, and the halves are
-    # read at its depth.  Expansions are cached across the reports of one
-    # caller, for halves already at that depth.
+    # composite is mutant(alpha, beta, tau), at the shallower depth, and
+    # the halves are read at its depth
     alpha, beta = alpha.truncate(composite.depth), beta.truncate(composite.depth)
     transformed = entries if tau is None else transform_index(entries, tau)
     value = mu(composite, entries)
@@ -159,7 +158,7 @@ def mutant_mu(
     tau=None is the connected sum alpha # beta, where I^tau = I.
     """
     composite = mutant(alpha, beta, tau)
-    return _report(alpha, beta, composite, validate_index(alpha, index), tau)
+    return _report(alpha, beta, composite, validate_index(composite, index), tau)
 
 
 def normalize_linking(
@@ -194,6 +193,8 @@ def weight_lt6_invariance_check(
     """
     alpha2, beta2 = normalize_linking(alpha, beta)
     total = mutant(alpha2, beta2)
+    # each half once at the pair's depth, so its expansions serve every report
+    alpha2, beta2 = alpha2.truncate(total.depth), beta2.truncate(total.depth)
     lk_val = mu_bar(total, (1, 2))
     sato = mu_bar(total, (1, 1, 2, 2))
     for tau in MUTATION_TYPES:
@@ -229,15 +230,11 @@ def find_detector(alpha: LongitudeSystem, q: int, tau: str) -> list[Index]:
             f"nonvanishing lower-weight invariant at index "
             f"{format_index(witness)}"
         )
-
-    def coefficient(entries: Index) -> int:
-        return alpha.expansion(entries[-1]).coefficient(entries[:-1])
-
-    out: list[Index] = []
-    for entries in product((1, 2), repeat=q):
-        if coefficient(entries) != coefficient(transform_index(entries, tau)):
-            out.append(entries)
-    return out
+    return [
+        entries
+        for entries in product((1, 2), repeat=q)
+        if raw_mu(alpha, entries) != raw_mu(alpha, transform_index(entries, tau))
+    ]
 
 
 @frozen_record

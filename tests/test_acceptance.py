@@ -21,7 +21,6 @@ from mubar.corpus import (
     hopf_braid,
     hopf_pd,
     milnor_l6_system,
-    random_realized_system,
     unlink_pd,
 )
 from mubar.links import (
@@ -50,6 +49,8 @@ from mubar.mutation import (
 )
 from mubar.surgery import lcq_is_free
 from mubar.words import Word, commutator, generator, left_normed
+
+from link_generators import random_realized_system
 
 PAIR_SEED = 20011220
 PAIR_COUNT = 100

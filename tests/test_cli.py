@@ -790,6 +790,37 @@ class TestDepthHandling:
         report = json.loads(out)
         assert (report["index"], report["delta"], report["residue"]) == ("12" * 10, 1, 0)
 
+    @pytest.mark.parametrize(
+        "argv, weight",
+        [
+            (("mu", "--link", "borromean.json", "--index", "123"), 3),
+            (("mu-bar", "--link", "hopf.json", "--index", "1122"), 4),
+            (("delta", "--link", "hopf.braid", "--index", "1122"), 4),
+            (("mu-bar", "--link", "borromean.braid", "--index", "1213"), 4),
+            (("mu", "--link", "hopf.json", "--index", "12"), 2),
+            (("lcq", "--link", "borromean.json", "--q", "3"), 3),
+            (("vanish-up-to", "--link", "borromean.json", "--weight", "3"), 3),
+            (("find-detector", "--alpha", "l6.json", "--weight", "6", "--type", "F"), 6),
+            (("lcq", "--mutant-of", "l6.json", "--type", "F", "--q", "6"), 6),
+            (
+                (
+                    "mutate-report", "--alpha", "l6.json", "--beta", "hopf.json",
+                    "--index", "1122", "--type", "R",
+                ),
+                4,
+            ),
+        ],
+        ids=lambda v: "-".join(a for a in v if a[0] != "-") if isinstance(v, tuple) else f"w{v}",
+    )
+    def test_depth_option_changes_no_answer(self, corpus_dir, capsys, argv, weight):
+        # a weight-w answer is fixed mod F_w, so any --depth >= w prints
+        # what the verb prints at its own depth, w
+        argv = [str(corpus_dir / a) if "." in a else a for a in argv]
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        for depth in (weight, weight + 1, weight + 2):
+            assert run(capsys, *argv, "--depth", str(depth)) == expected
+
     def test_depth_option_truncates_system_file(self, corpus_dir, capsys):
         code, out, _ = run(
             capsys, "mu-bar", "--link", str(corpus_dir / "l6.json"),

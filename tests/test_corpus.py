@@ -9,12 +9,12 @@ from mubar.corpus import (
     corpus_install,
     hopf_braid,
     milnor_l6_system,
-    random_pure_braid,
-    random_realized_system,
 )
 from mubar.links import artin_longitudes, parse_braid, reorder
 from mubar.milnor import all_vanish_up_to, mu_bar
 from mubar.words import parse_word
+
+from link_generators import random_pure_braid, random_realized_system
 
 
 class TestBundledCorpus:

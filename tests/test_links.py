@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from mubar.corpus import (
     borromean_braid,
     borromean_pd,
-    borromean_system,
     hopf_braid,
     hopf_pd,
-    random_realized_system,
     unlink_pd,
 )
 from mubar.errors import ParseError, PreconditionError
-from mubar.corpus import random_pure_braid
 from mubar.links import (
     Crossing,
     PDCode,
@@ -50,6 +47,8 @@ from mubar.words import (
     identity,
     substitute,
 )
+
+from link_generators import borromean_system, random_pure_braid, random_realized_system
 
 
 # ---------------------------------------------------------------------------

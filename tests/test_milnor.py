@@ -7,13 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mubar.corpus import (
-    borromean_pd,
-    borromean_system,
-    milnor_l6_system,
-    random_pure_braid,
-    random_realized_system,
-)
+from mubar.corpus import borromean_pd, milnor_l6_system
 from mubar.errors import ParseError, PreconditionError
 from mubar.links import artin_longitudes, braid_closure_pd, longitudes_mod_q
 from mubar.corpus import borromean_braid, hopf_braid, hopf_pd
@@ -23,7 +17,6 @@ from mubar.milnor import (
     SUBINDEX_BUDGET,
     Index,
     LongitudeSystem,
-    _mu_raw,
     all_vanish_up_to,
     delta,
     first_nonvanishing,
@@ -32,9 +25,12 @@ from mubar.milnor import (
     mu_bar,
     parse_index,
     proper_cyclic_subindices,
+    raw_mu,
     residue_of,
 )
 from mubar.words import Word, commutator, generator, left_normed, parse_word
+
+from link_generators import borromean_system, random_pure_braid, random_realized_system
 
 # Oracle: the residue scan that first_nonvanishing replaced, verbatim
 # apart from its name; it computes Delta for every index it visits.
@@ -43,7 +39,7 @@ from mubar.words import Word, commutator, generator, left_normed, parse_word
 def _delta_raw(system: LongitudeSystem, index) -> int:
     g = 0
     for sub in proper_cyclic_subindices(index):
-        g = math.gcd(g, _mu_raw(system, sub))
+        g = math.gcd(g, raw_mu(system, sub))
     return g
 
 
@@ -55,7 +51,7 @@ def residue_scan(system: LongitudeSystem, q: int):
     """
     for weight in range(2, q + 1):
         for entries in product(range(1, system.m + 1), repeat=weight):
-            m_val = _mu_raw(system, entries)
+            m_val = raw_mu(system, entries)
             if residue_of(m_val, _delta_raw(system, entries)) != 0:
                 return entries
     return None
@@ -80,7 +76,7 @@ def proper_cyclic_subindices_oracle(index: Index) -> set[Index]:
 def delta_oracle(system: LongitudeSystem, index) -> int:
     g = 0
     for sub in proper_cyclic_subindices_oracle(index):
-        g = math.gcd(g, _mu_raw(system, sub))
+        g = math.gcd(g, raw_mu(system, sub))
     return g
 
 

@@ -6,17 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubar.corpus import (
-    borromean_pd,
-    hopf_pd,
-    milnor_l6_system,
-    random_realized_system,
-)
+from mubar.corpus import borromean_pd, hopf_pd, milnor_l6_system
 from mubar.errors import PreconditionError
 from mubar.links import connected_sum, inverse_mirror, longitudes_mod_q, reorder
 from mubar.milnor import (
     LongitudeSystem,
     delta,
+    first_nonvanishing,
     format_index,
     mu,
     residue_of,
@@ -35,6 +31,8 @@ from mubar.mutation import (
     weight_lt6_invariance_check,
 )
 from mubar.words import Word, generator, left_normed, parse_word
+
+from link_generators import random_realized_system
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +201,28 @@ class TestSharedDepth:
             mutant_mu(alpha, beta, (1,) * shared + (2,))
         # no half is expanded deeper than the reports read it
         assert set(bounds) == {shared}
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_invariance_check_reads_each_half_once(self, swap, monkeypatch):
+        import mubar.milnor
+
+        calls = []
+        expand = mubar.milnor.magnus_expand
+        monkeypatch.setattr(
+            mubar.milnor, "magnus_expand", lambda w, q: calls.append(q) or expand(w, q)
+        )
+
+        def expansions(depth):
+            # fresh systems, so that no expansion is cached from a call before
+            alpha, beta = milnor_l6_system(7).truncate(depth), longitudes_mod_q(hopf_pd(), 5)
+            if swap:
+                alpha, beta = beta, alpha
+            calls.clear()
+            assert weight_lt6_invariance_check(alpha, beta)
+            return len(calls)
+
+        # both longitudes of the sum and of each half, and each mutant's second
+        assert expansions(7) == expansions(5) == 9
 
 
 class TestConnectedSumAgainstOracle:
@@ -381,6 +401,41 @@ class TestFindDetector:
         for _ in range(5):
             alpha = random_realized_system(rng, depth=5, linking=0)
             assert find_detector(alpha, 2, "F") == []
+
+
+def commutator_systems(q: int) -> list[LongitudeSystem]:
+    """Two-component systems whose longitudes are left-normed commutators
+    of weight q - 1, so every mu of weight below q vanishes."""
+    if q == 2:
+        return [LongitudeSystem(2, 2, (left_normed(2), left_normed(1))), trivial(2)]
+    rng = random.Random(q)
+    w1 = left_normed(2, 1, *rng.choices((1, 2), k=q - 3))
+    w2 = left_normed(1, 2, *rng.choices((1, 2), k=q - 3))
+    # an empty longitude expands in one variable and reads 0 at every x2
+    return [LongitudeSystem(2, q, pair) for pair in ((w1, w2), (Word(), w2), (w1, Word()))]
+
+
+class TestFindDetectorAgainstDefinition:
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_commutator_systems(self, q):
+        systems = commutator_systems(q)
+        if q == 6:
+            systems += [milnor_l6_system(6), milnor_l6_system()]
+        for alpha in systems:
+            assert first_nonvanishing(alpha, q - 1) is None
+            for tau in MUTATION_TYPES:
+                assert find_detector(alpha, q, tau) == [
+                    entries
+                    for entries in product((1, 2), repeat=q)
+                    if mu(alpha, entries) != mu(alpha, transform_index(entries, tau))
+                ]
+
+    def test_l6_refused_past_its_first_weight(self):
+        # the definition compares values free of indeterminacy only when
+        # every lower weight vanishes, and l6 has weight-6 values
+        for tau in MUTATION_TYPES:
+            with pytest.raises(PreconditionError, match="at index 112222"):
+                find_detector(milnor_l6_system(), 7, tau)
 
 
 class TestTheoremMainWitness:

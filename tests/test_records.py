@@ -28,6 +28,8 @@ from mubar.mutation import MutantReport, MutativePairReport, mutant_mu, mutative
 from mubar.surgery import LcqReport, lcq_is_free
 from mubar.words import Word, generator
 
+from link_generators import borromean_system
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # (name, default) per field, in declaration order; MISSING = required
@@ -96,7 +98,7 @@ def _samples():
         Crossing: [x for pd in pds for x in pd.crossings],
         PDCode: pds,
         PureBraidWord: [corpus.hopf_braid(), corpus.borromean_braid()],
-        LongitudeSystem: [l6, l6.truncate(6), borromean, hopf, corpus.borromean_system()],
+        LongitudeSystem: [l6, l6.truncate(6), borromean, hopf, borromean_system()],
         MuValue: [mu_bar(borromean, (1, 2, 3)), mu_bar(hopf, (1, 2)), mu_bar(l6, (1, 1, 2, 2))],
         MutantReport: [
             mutant_mu(l6, l6, index, "F") for index in [(1, 2), (1, 1, 2, 2), (1, 1, 2, 1, 2, 2)]

@@ -21,7 +21,6 @@ from mubar.corpus import (
     hopf_braid,
     hopf_pd,
     milnor_l6_system,
-    random_realized_system,
     unlink_pd,
 )
 from mubar.errors import PreconditionError
@@ -44,6 +43,8 @@ from mubar.mutation import (
 from mubar.surgery import lcq_is_free
 from mubar.magnus import lcs_depth
 from mubar.words import Word, commutator, left_normed
+
+from link_generators import random_realized_system
 
 
 def route_b_oracle(system: LongitudeSystem, q: int) -> int | None:
