@@ -231,6 +231,8 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
     )
     try:
         return LongitudeSystem(pd.m, q, longs)
+    except PreconditionError:
+        raise  # a budget refusal, not a fault of the code
     except ValueError as exc:
         # e.g. asymmetric linking numbers from an inconsistent PD code
         raise ParseError(f"malformed PD code: {exc}") from exc

@@ -90,17 +90,6 @@ def _position(mono: Monomial, m: int) -> int:
     return pos
 
 
-def _nonzero(level: list[int], d: int, m: int):
-    """(monomial, coefficient) of each nonzero entry of a degree-d level,
-    its position decoded as the inverse of :func:`_position`."""
-    for pos in compress(range(len(level)), level):
-        letters, rest = [], pos
-        for _ in range(d):
-            rest, digit = divmod(rest, m)
-            letters.append(digit + 1)
-        yield tuple(letters), level[pos]
-
-
 class NCSeries:
     """Dense series: ``levels[d]`` holds the m^d coefficients of degree d."""
 
@@ -144,8 +133,8 @@ class NCSeries:
     def terms(self) -> dict[Monomial, int]:
         """Nonzero coefficients by monomial, in shortlex order."""
         out: dict[Monomial, int] = {}
-        for d, level in enumerate(self.levels):
-            out.update(sorted(_nonzero(level, d, self.width)))
+        for d in range(self.degree_bound):
+            out.update(sorted(self.nonzero(d)))
         return out
 
     def __eq__(self, other) -> bool:
@@ -170,15 +159,18 @@ class NCSeries:
             return 0
         return self.levels[len(mono)][_position(mono, self.width)]
 
-    def least_monomial(self, d: int) -> Monomial | None:
-        """Lexicographically least degree-d monomial with a nonzero
-        coefficient, or None.
-
-        A position's digits are its monomial's letters least significant
-        first, so the least position is not the least monomial once d > 1.
-        """
-        nonzero = _nonzero(self.levels[d], d, self.width)
-        return min((mono for mono, _ in nonzero), default=None)
+    def nonzero(self, d: int):
+        """(monomial, coefficient) of each nonzero degree-d term in position
+        order, whose digits are the letters least significant first (see
+        :func:`_position`), so not shortlex once d > 1.  A zero level is
+        skipped without decoding it."""
+        level, m = self.levels[d], self.width
+        for pos in compress(range(len(level)), level):
+            letters, rest = [], pos
+            for _ in range(d):
+                rest, digit = divmod(rest, m)
+                letters.append(digit + 1)
+            yield tuple(letters), level[pos]
 
     def min_nonconstant_degree(self) -> int | None:
         for d in range(1, self.degree_bound):

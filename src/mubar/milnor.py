@@ -207,19 +207,19 @@ def first_nonvanishing(system: LongitudeSystem, q: int) -> Index | None:
     least index with nonzero residue is the least one with nonzero mu,
     and no Delta is computed.
 
-    Weight w takes each longitude's least degree w - 1 monomial
-    (NCSeries.least_monomial), which skips a zero level without
+    Weight w is the least index over every longitude's nonzero degree
+    w - 1 terms (NCSeries.nonzero), which skips a zero level without
     decoding it.  None for q < 2.
     """
     check_weight(system, q)
     for d in range(1, q):
-        found = [
+        indices = (
             mono + (j,)
             for j in range(1, system.m + 1)
-            if (mono := system.expansion(j).least_monomial(d)) is not None
-        ]
-        if found:
-            return min(found)
+            for mono, _ in system.expansion(j).nonzero(d)
+        )
+        if (least := min(indices, default=None)) is not None:
+            return least
     return None
 
 

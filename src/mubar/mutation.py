@@ -30,7 +30,6 @@ values, so that mutant's ninth quotient is not free, as
 from __future__ import annotations
 
 import math
-from itertools import product
 
 from .errors import PreconditionError
 from .links import connected_sum, inverse_mirror, reorder
@@ -213,10 +212,11 @@ def weight_lt6_invariance_check(
 
 
 def find_detector(alpha: LongitudeSystem, q: int, tau: str) -> list[Index]:
-    """All weight-q indices with mu(I) != mu(I^tau) on alpha.
+    """All weight-q indices with mu(I) != mu(I^tau) on alpha, sorted.
 
     Requires every residue of weight < q to vanish, so that the values
-    compared are free of indeterminacy.
+    compared are free of indeterminacy.  tau is an involution, so each
+    differing pair is found from its member with nonzero mu.
     """
     _require_two_components(alpha)
     if tau not in MUTATION_TYPES:
@@ -230,11 +230,13 @@ def find_detector(alpha: LongitudeSystem, q: int, tau: str) -> list[Index]:
             f"nonvanishing lower-weight invariant at index "
             f"{format_index(witness)}"
         )
-    return [
-        entries
-        for entries in product((1, 2), repeat=q)
-        if raw_mu(alpha, entries) != raw_mu(alpha, transform_index(entries, tau))
-    ]
+    found: set[Index] = set()
+    for j in (1, 2):
+        for mono, value in alpha.expansion(j).nonzero(q - 1):
+            image = transform_index(mono + (j,), tau)
+            if value != raw_mu(alpha, image):
+                found.update((mono + (j,), image))
+    return sorted(found)
 
 
 @frozen_record
@@ -277,11 +279,12 @@ def mutative_pair_report(
         return MutativePairReport(q=q, mutation=tau, found=False)
     beta = inverse_mirror(alpha)
     composite = mutant(alpha, beta, tau)
-    witness = first_nonvanishing(composite, q - 1)
-    if witness is not None:
+    # its scan to weight q also answers for the weights below q
+    mutant_lcq = lcq_is_free(composite, q)
+    if not mutant_lcq.free and len(mutant_lcq.witness_index) < q:
         raise PreconditionError(
             f"mutant has nonvanishing lower-weight invariant at "
-            f"{format_index(witness)}"
+            f"{format_index(mutant_lcq.witness_index)}"
         )
     return MutativePairReport(
         q=q,
@@ -289,6 +292,6 @@ def mutative_pair_report(
         found=True,
         detectors=tuple(detectors),
         ribbon_sum=lcq_is_free(mutant(alpha, beta), q),
-        mutant=lcq_is_free(composite, q),
+        mutant=mutant_lcq,
         witnesses=tuple(_report(alpha, beta, composite, d, tau) for d in detectors),
     )

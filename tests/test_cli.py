@@ -51,6 +51,13 @@ class TestBasicVerbs:
         assert code == 0
         assert json.loads(out) == {"index": "12", "mu": 1}
 
+    def test_identity_token_inside_a_longitude(self, tmp_path, capsys):
+        # an e among a word's tokens is skipped, so this is the Hopf system
+        path = tmp_path / "hopf.json"
+        path.write_text(json.dumps({"m": 2, "depth": 3, "longitudes": ["e x2", "x1 e"]}))
+        code, out, _ = run(capsys, "mu", "--link", str(path), "--index", "12")
+        assert (code, json.loads(out)) == (0, {"index": "12", "mu": 1})
+
     def test_mu_braid_input(self, corpus_dir, capsys):
         code, out, _ = run(capsys, "mu", "--link", str(corpus_dir / "borromean.braid"), "--index", "123")
         assert code == 0
@@ -1212,6 +1219,16 @@ class TestSystemTermBudget:
         assert err == (
             "mubar: precondition violated: 12000 series of degree bound 2 hold "
             "143988002 terms, more than SYSTEM_TERM_BUDGET = 8388608\n"
+        )
+
+    def test_pd_route_exit_3(self, corpus_dir, capsys, monkeypatch):
+        # a refusal past the budget, not a malformed PD code (exit 2)
+        monkeypatch.setattr("mubar.magnus.SYSTEM_TERM_BUDGET", 4)
+        code, out, err = run(capsys, "mu", "--link", str(corpus_dir / "hopf.json"), "--index", "12")
+        assert (code, out) == (3, "")
+        assert err == (
+            "mubar: precondition violated: 2 series of degree bound 2 hold "
+            "5 terms, more than SYSTEM_TERM_BUDGET = 4\n"
         )
 
 

@@ -309,6 +309,12 @@ class TestPDValidation:
         with pytest.raises(ParseError):
             longitudes_mod_q(load_pd(bad), 3)
 
+    def test_budget_refusal_is_not_a_parse_error(self, monkeypatch):
+        # the PD route refuses past SYSTEM_TERM_BUDGET as the other routes do
+        monkeypatch.setattr("mubar.magnus.SYSTEM_TERM_BUDGET", 4)
+        with pytest.raises(PreconditionError, match="SYSTEM_TERM_BUDGET = 4"):
+            longitudes_mod_q(hopf_pd(), 2)
+
     def test_single_arc_component_must_be_crossing_free(self):
         with pytest.raises(ParseError, match="single-arc"):
             longitudes_mod_q(

@@ -408,6 +408,7 @@ class TestWidth:
         wide = NCSeries(4, s.terms, width=4)
         assert wide == s and s == wide
         assert NCSeries(4, {(): 1, (1, 2): 1}, width=3) != s
+        assert s != NCSeries(5, s.terms) and s != s.terms
         assert magnus_expand(Word(), 4) == one(4) == NCSeries(4, {(): 1}, width=3)
 
     def test_product_across_widths(self):
@@ -439,25 +440,33 @@ def product_terms(s: NCSeries) -> dict[Monomial, int]:
     return out
 
 
+def least_term(s: NCSeries, d: int) -> Monomial | None:
+    """Least degree-d monomial with a nonzero coefficient, as
+    first_nonvanishing reads it through NCSeries.nonzero."""
+    return min((mono for mono, _ in s.nonzero(d)), default=None)
+
+
 class TestDecode:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(words, bounds, st.integers(0, 2))
-    def test_terms_and_least_monomial(self, w, q, extra):
+    def test_terms_and_least_term(self, w, q, extra):
         s = magnus_expand(w, q)
         s = NCSeries(q, s.terms, width=s.width + extra)
         assert list(s.terms.items()) == list(product_terms(s).items())
         for d in range(q):
             nonzero = [mono for mono in product_terms(s) if len(mono) == d]
-            assert s.least_monomial(d) == min(nonzero, default=None)
+            assert least_term(s, d) == min(nonzero, default=None)
 
-    def test_least_position_is_not_least_monomial(self):
+    def test_position_order_is_not_shortlex(self):
         # (2, 1) sits at position 1 and (1, 3) at position 6
         s = NCSeries(4, {(2, 1): 3, (1, 3): -1, (3,): 2}, width=3)
-        assert s.least_monomial(2) == (1, 3)
-        assert s.least_monomial(1) == (3,)
-        assert s.least_monomial(0) is None
-        assert s.least_monomial(3) is None
+        assert list(s.nonzero(2)) == [((2, 1), 3), ((1, 3), -1)]
+        assert least_term(s, 2) == (1, 3)
+        assert least_term(s, 1) == (3,)
+        assert least_term(s, 0) is None
+        assert least_term(s, 3) is None
         assert list(s.terms) == [(3,), (1, 3), (2, 1)]
+        assert repr(s) == "NCSeries(q=4, {(3,): 2, (1, 3): -1, (2, 1): 3})"
 
 
 class TestTermBudget:

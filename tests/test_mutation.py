@@ -345,6 +345,18 @@ class TestWeightLt6:
     def test_trivial_pair(self):
         assert weight_lt6_invariance_check(trivial(), trivial())
 
+    @pytest.mark.parametrize("weight", [2, 4])
+    def test_check_can_fail(self, monkeypatch, weight):
+        # the reports read mubar.mutation.mu, the pair's own mu-bar does
+        # not, so one more at a weight breaks that weight's comparison
+        monkeypatch.setattr(
+            "mubar.mutation.mu",
+            lambda system, index: mu(system, index) + (len(index) == weight),
+        )
+        assert not weight_lt6_invariance_check(trivial(5), trivial(5))
+        monkeypatch.undo()
+        assert weight_lt6_invariance_check(trivial(5), trivial(5))
+
     def test_corpus_pair(self):
         hopf = longitudes_mod_q(hopf_pd(), 5)
         borr2 = sub_borromean()
@@ -371,6 +383,15 @@ def sub_borromean():
 class TestFindDetector:
     def test_trivial_alpha_empty(self):
         assert find_detector(trivial(7), 6, "F") == []
+
+    def test_zero_level_reads_no_coefficient(self, monkeypatch):
+        # only nonzero terms are read, so 2^18 indices cost no read
+        def refuse(self, mono):
+            raise AssertionError(f"coefficient read at {mono}")
+
+        monkeypatch.setattr("mubar.magnus.NCSeries.coefficient", refuse)
+        for tau in MUTATION_TYPES:
+            assert find_detector(trivial(20), 18, tau) == []
 
     def test_l6_contains_112222(self):
         alpha = milnor_l6_system()
@@ -416,7 +437,7 @@ def commutator_systems(q: int) -> list[LongitudeSystem]:
 
 
 class TestFindDetectorAgainstDefinition:
-    @pytest.mark.parametrize("q", range(2, 10))
+    @pytest.mark.parametrize("q", range(2, 11))
     def test_commutator_systems(self, q):
         systems = commutator_systems(q)
         if q == 6:
@@ -465,6 +486,13 @@ class TestTheoremMainWitness:
 
     def test_trivial_alpha_vacuous(self):
         assert mutative_pair_report(trivial(7), 6, "F").witnesses == ()
+
+    def test_mutant_lower_weight_refused(self, monkeypatch):
+        # a beta that links alpha gives the mutant a weight-2 value
+        monkeypatch.setattr("mubar.mutation.inverse_mirror", lambda alpha: hopf_type(7))
+        with pytest.raises(PreconditionError) as info:
+            mutative_pair_report(milnor_l6_system(), 6, "F")
+        assert str(info.value) == "mutant has nonvanishing lower-weight invariant at 12"
 
 
 class TestApplyMutation:

@@ -120,7 +120,7 @@ class TestLcqIsFree:
         assert not report.free
 
     def test_shallow_relator_against_free_scan_raises(self, monkeypatch):
-        # route A's scan reads least_monomial, so only route B sees this
+        # route A's scan reads NCSeries.nonzero, so only route B sees this
         system = longitudes_mod_q(unlink_pd(2), 4)
         monkeypatch.setattr(
             mubar.magnus.NCSeries, "min_nonconstant_degree", lambda self: 1

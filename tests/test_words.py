@@ -118,6 +118,7 @@ class TestCommutator:
         c = left_normed(1, 2)
         assert c == commutator(generator(1), generator(2))
         assert left_normed(1, 2, 1) == commutator(c, generator(1))
+        assert left_normed() == identity()
 
 
 class TestSubstitute:
@@ -155,6 +156,7 @@ class TestText:
 
     def test_empty(self):
         assert parse_word("e") == identity()
+        assert parse_word("x1 e x2^-1") == w("x1 x2^-1")
         assert format_word(identity()) == "e"
 
     def test_power_token(self):
