@@ -232,7 +232,7 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
     try:
         return LongitudeSystem(pd.m, q, longs)
     except PreconditionError:
-        raise  # a budget refusal, not a fault of the code
+        raise  # a budget refusal, not a malformed PD code
     except ValueError as exc:
         # e.g. asymmetric linking numbers from an inconsistent PD code
         raise ParseError(f"malformed PD code: {exc}") from exc

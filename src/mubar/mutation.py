@@ -279,7 +279,7 @@ def mutative_pair_report(
         return MutativePairReport(q=q, mutation=tau, found=False)
     beta = inverse_mirror(alpha)
     composite = mutant(alpha, beta, tau)
-    # its scan to weight q also answers for the weights below q
+    # the scan's witness has the least weight, so it also answers below q
     mutant_lcq = lcq_is_free(composite, q)
     if not mutant_lcq.free and len(mutant_lcq.witness_index) < q:
         raise PreconditionError(
