@@ -127,15 +127,15 @@ def _report(
     composite: LongitudeSystem,
     entries: Index,
     tau: str | None,
+    modulus: int | None = None,
 ) -> MutantReport:
-    # composite is mutant(alpha, beta, tau), at the shallower depth, and
-    # the halves are read at its depth
-    alpha, beta = alpha.truncate(composite.depth), beta.truncate(composite.depth)
+    # both halves are at composite's depth; modulus is D^tau(I) when known
     transformed = entries if tau is None else transform_index(entries, tau)
     value = mu(composite, entries)
     mu_a = mu(alpha, entries)
     mu_bt = mu(beta, transformed)
-    modulus = math.gcd(delta(alpha, entries), delta(beta, transformed))
+    if modulus is None:
+        modulus = math.gcd(delta(alpha, entries), delta(beta, transformed))
     residue = residue_of(mu_a + mu_bt, modulus)
     return MutantReport(
         index=entries,
@@ -157,7 +157,8 @@ def mutant_mu(
     tau=None is the connected sum alpha # beta, where I^tau = I.
     """
     composite = mutant(alpha, beta, tau)
-    return _report(alpha, beta, composite, validate_index(composite, index), tau)
+    entries, depth = validate_index(composite, index), composite.depth
+    return _report(alpha.truncate(depth), beta.truncate(depth), composite, entries, tau)
 
 
 def normalize_linking(
@@ -194,16 +195,12 @@ def weight_lt6_invariance_check(
     total = mutant(alpha2, beta2)
     # each half once at the pair's depth, so its expansions serve every report
     alpha2, beta2 = alpha2.truncate(total.depth), beta2.truncate(total.depth)
-    lk_val = mu_bar(total, (1, 2))
+    lk = mu_bar(total, (1, 2)).mu
     sato = mu_bar(total, (1, 1, 2, 2))
     for tau in MUTATION_TYPES:
         composite = mutant(alpha2, beta2, tau)
         rep2 = _report(alpha2, beta2, composite, (1, 2), tau)
-        allowed = {
-            residue_of(lk_val.mu, rep2.modulus),
-            residue_of(-lk_val.mu, rep2.modulus),
-        }
-        if rep2.residue not in allowed:
+        if rep2.residue not in (lk, -lk):
             return False
         rep4 = _report(alpha2, beta2, composite, (1, 1, 2, 2), tau)
         if rep4.residue != sato.residue:
@@ -286,6 +283,9 @@ def mutative_pair_report(
             f"mutant has nonvanishing lower-weight invariant at "
             f"{format_index(mutant_lcq.witness_index)}"
         )
+    # every D^tau(I) is 0: alpha and the mutant vanish below q (find_detector,
+    # the check above), so beta^tau = alpha^-1 * mutant and beta do too
+    witnesses = tuple(_report(alpha, beta, composite, d, tau, 0) for d in detectors)
     return MutativePairReport(
         q=q,
         mutation=tau,
@@ -293,5 +293,5 @@ def mutative_pair_report(
         detectors=tuple(detectors),
         ribbon_sum=lcq_is_free(mutant(alpha, beta), q),
         mutant=mutant_lcq,
-        witnesses=tuple(_report(alpha, beta, composite, d, tau) for d in detectors),
+        witnesses=witnesses,
     )

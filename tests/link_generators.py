@@ -6,7 +6,9 @@ target linking number is requested; everything produced this way is the
 longitude system of an actual link, so identities that hold for links
 (cyclic symmetry, the binomial weight-3 residues, ...) may be asserted
 on them.  ``borromean_system`` is the symmetric abstract model of the
-Borromean rings, each longitude a commutator of the other two meridians.
+Borromean rings, each longitude a commutator of the other two meridians,
+and ``commutator_systems(q)`` are abstract two-component systems whose
+first non-vanishing invariants have weight q.
 
 The test files import this module by name: ``tests/`` has no
 ``__init__.py``, so pytest puts the directory on ``sys.path``.
@@ -18,7 +20,7 @@ from random import Random
 
 from mubar.links import PureBraidWord, artin_longitudes, reorder
 from mubar.milnor import LongitudeSystem
-from mubar.words import commutator, generator
+from mubar.words import Word, commutator, generator, left_normed
 
 
 def borromean_system(depth: int = 4) -> LongitudeSystem:
@@ -67,3 +69,16 @@ def random_realized_system(
             letters.extend([(i, j, sign)] * abs(diff))
     full = artin_longitudes(PureBraidWord(strands, tuple(letters)), depth)
     return reorder(full, (i, j))
+
+
+def commutator_systems(q: int) -> list[LongitudeSystem]:
+    """Two-component systems whose longitudes are left-normed commutators
+    of weight q - 1, so every mu of weight below q vanishes."""
+    if q == 2:
+        trivial = LongitudeSystem(2, 2, (Word(), Word()))
+        return [LongitudeSystem(2, 2, (left_normed(2), left_normed(1))), trivial]
+    rng = Random(q)
+    w1 = left_normed(2, 1, *rng.choices((1, 2), k=q - 3))
+    w2 = left_normed(1, 2, *rng.choices((1, 2), k=q - 3))
+    # an empty longitude expands in one variable and reads 0 at every x2
+    return [LongitudeSystem(2, q, pair) for pair in ((w1, w2), (Word(), w2), (w1, Word()))]

@@ -377,6 +377,59 @@ class TestLongitudes:
         assert system.longitudes[0] == identity()
 
 
+def r1_kink(pd: PDCode, comp: int, t: int, sign: int) -> PDCode:
+    """A Reidemeister-I kink of sign ``sign`` after arc t of component comp.
+
+    Arc a = components[comp][t] becomes a, n1, n2: a passes under n1 at
+    the new crossing (a, n1, n1, n2), and n2 takes a's place in the
+    crossing of the step a -> next.  That crossing is read from
+    _trace's walk, not by matching arcs: on a two-arc component {a,
+    next} is the over-pair of both steps.
+    """
+    arcs = pd.components[comp]
+    a = arcs[t]
+    n1 = 1 + max(arc for c in pd.components for arc in c)
+    n2 = n1 + 1
+    kind, k = _trace(pd)[comp][t]
+    step = list(pd.crossings[k].arcs)
+    slot = 0 if kind == "under" else next(i for i in (1, 3) if step[i] == a)
+    step[slot] = n2
+    crossings = list(pd.crossings)
+    crossings[k] = Crossing(tuple(step), pd.crossings[k].sign)
+    crossings.append(Crossing((a, n1, n1, n2), sign))
+    components = list(pd.components)
+    components[comp] = arcs[: t + 1] + (n1, n2) + arcs[t + 1 :]
+    return PDCode(pd.m, tuple(components), tuple(crossings))
+
+
+class TestR1Kink:
+    """A kink changes a component's self-writhe, which the 0-framing
+    absorbs: braid closures and the corpus diagrams have self-writhe 0,
+    so only this test exercises the framing term on the PD route."""
+
+    @pytest.mark.parametrize("pd", [hopf_pd(), borromean_pd()], ids=["hopf", "borromean"])
+    def test_residues_survive_every_kink(self, pd):
+        q = 5
+        plain = longitudes_mod_q(pd, q)
+        indices = [
+            entries
+            for weight in range(2, q + 1)
+            for entries in product(range(1, pd.m + 1), repeat=weight)
+        ]
+
+        def residues(system):
+            return [(v.delta, v.residue) for v in (mu_bar(system, e) for e in indices)]
+
+        expected = residues(plain)
+        for comp, arcs in enumerate(pd.components):
+            for t in range(len(arcs)):
+                for sign in (1, -1):
+                    kinked = longitudes_mod_q(r1_kink(pd, comp, t, sign), q)
+                    assert residues(kinked) == expected, (comp, t, sign)
+                    # the words do change, so the comparison is not vacuous
+                    assert any(mu(kinked, e) != mu(plain, e) for e in indices)
+
+
 class TestArtin:
     def test_empty_braid(self):
         system = artin_longitudes(PureBraidWord(3, ()), 4)

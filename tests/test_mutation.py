@@ -32,7 +32,7 @@ from mubar.mutation import (
 )
 from mubar.words import Word, generator, left_normed, parse_word
 
-from link_generators import random_realized_system
+from link_generators import commutator_systems, random_realized_system
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +422,6 @@ class TestFindDetector:
         for _ in range(5):
             alpha = random_realized_system(rng, depth=5, linking=0)
             assert find_detector(alpha, 2, "F") == []
-
-
-def commutator_systems(q: int) -> list[LongitudeSystem]:
-    """Two-component systems whose longitudes are left-normed commutators
-    of weight q - 1, so every mu of weight below q vanishes."""
-    if q == 2:
-        return [LongitudeSystem(2, 2, (left_normed(2), left_normed(1))), trivial(2)]
-    rng = random.Random(q)
-    w1 = left_normed(2, 1, *rng.choices((1, 2), k=q - 3))
-    w2 = left_normed(1, 2, *rng.choices((1, 2), k=q - 3))
-    # an empty longitude expands in one variable and reads 0 at every x2
-    return [LongitudeSystem(2, q, pair) for pair in ((w1, w2), (Word(), w2), (w1, Word()))]
 
 
 class TestFindDetectorAgainstDefinition:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import mubar.magnus
 import mubar.milnor
+import mubar.mutation
 import mubar.surgery
 from mubar.cli import main
 from mubar.corpus import (
@@ -44,7 +45,7 @@ from mubar.surgery import lcq_is_free
 from mubar.magnus import lcs_depth
 from mubar.words import Word, commutator, left_normed
 
-from link_generators import random_realized_system
+from link_generators import commutator_systems, random_realized_system
 
 
 def route_b_oracle(system: LongitudeSystem, q: int) -> int | None:
@@ -284,6 +285,18 @@ class TestMutativePair:
         assert len(report.detectors) == 30
         assert len(calls) == 8
 
+    def test_witnesses_compute_no_delta(self, monkeypatch):
+        # both halves of the pair vanish below q, so every witness modulus
+        # is 0 without a Delta; computing them made 60 delta calls here
+        calls = []
+        delta = mubar.mutation.delta
+        monkeypatch.setattr(
+            mubar.mutation, "delta", lambda s, index: calls.append(index) or delta(s, index)
+        )
+        report = mutative_pair_report(milnor_l6_system(7), 6, "F")
+        assert len(report.witnesses) == 30
+        assert calls == []
+
     def test_json_shape(self):
         alpha = milnor_l6_system()
         data = mutative_pair_report(alpha, 6, "F").to_json()
@@ -311,3 +324,13 @@ class TestMutativePairAgainstOracle:
         assert mutative_pair_report(alpha, q, tau) == mutative_pair_report_oracle(
             alpha, q, tau
         )
+
+    @pytest.mark.parametrize("tau", MUTATION_TYPES)
+    @pytest.mark.parametrize("which", range(3), ids=["w1-w2", "e-w2", "w1-e"])
+    def test_commutator_systems_q8(self, which, tau):
+        # the oracle computes both Deltas of every witness; all are 0
+        alpha = commutator_systems(8)[which]
+        report = mutative_pair_report_oracle(alpha, 8, tau)
+        assert mutative_pair_report(alpha, 8, tau) == report
+        assert report.found
+        assert all(r.modulus == 0 for r in report.witnesses)
