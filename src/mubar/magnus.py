@@ -38,17 +38,21 @@ Monomial = tuple[int, ...]
 TERM_BUDGET = 1 << 20
 
 
+def _terms(m: int, q: int) -> int | float:
+    # sum_{d<q} m^d, q at width <= 1; infinity past TERM_BUDGET's bit length
+    if m <= 1:
+        return q
+    if q > TERM_BUDGET.bit_length():
+        return float("inf")
+    return (m**q - 1) // (m - 1)
+
+
 def check_term_budget(m: int, q: int) -> None:
-    total, size = 0, 1
-    for _ in range(q):
-        total += size
-        size *= m
-        # width <= 1 keeps one term per degree, so q itself is the size
-        if total > TERM_BUDGET or (size <= 1 and q > TERM_BUDGET):
-            raise PreconditionError(
-                f"a series of degree bound {shown(q)} in {shown(m)} variables has more "
-                f"than TERM_BUDGET = {TERM_BUDGET} terms"
-            )
+    if _terms(m, q) > TERM_BUDGET:
+        raise PreconditionError(
+            f"a series of degree bound {shown(q)} in {shown(m)} variables has more "
+            f"than TERM_BUDGET = {TERM_BUDGET} terms"
+        )
 
 
 # Most integers all of one system's expansions may hold, eight series
@@ -57,12 +61,12 @@ def check_term_budget(m: int, q: int) -> None:
 SYSTEM_TERM_BUDGET = 1 << 23
 
 
-def check_system_terms(widths: list[int], q: int) -> None:
-    # after check_term_budget(max(widths), q), so no power here is large
-    total = sum(q if m == 1 else (m**q - 1) // (m - 1) for m in widths)
+def check_system_terms(m: int, words, q: int) -> None:
+    check_term_budget(m, q)
+    total = sum(_terms(w.max_generator(), q) for w in words)
     if total > SYSTEM_TERM_BUDGET:
         raise PreconditionError(
-            f"{len(widths)} series of degree bound {q} hold {total} terms, "
+            f"{len(words)} series of degree bound {q} hold {total} terms, "
             f"more than SYSTEM_TERM_BUDGET = {SYSTEM_TERM_BUDGET}"
         )
 
@@ -75,8 +79,7 @@ WORK_BUDGET = 10**10
 
 
 def check_work_budget(letters: int, m: int, q: int) -> None:
-    terms = sum(m**d for d in range(q))
-    if letters * terms > WORK_BUDGET:
+    if letters * _terms(m, q) > WORK_BUDGET:
         raise PreconditionError(
             f"{letters} letters into a series of degree bound {q} in {m} "
             f"variables cost more than WORK_BUDGET = {WORK_BUDGET} term updates"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParseError, PreconditionError, shown
-from .magnus import NCSeries, check_system_terms, check_term_budget, magnus_expand
+from .magnus import NCSeries, check_system_terms, magnus_expand
 from .records import frozen_record
 from .words import Word
 
@@ -49,14 +49,12 @@ class LongitudeSystem:
             )
         # exponent sums[i - 1][g] of x_g in longitude i, one pass per word
         sums: list[dict[int, int]] = []
-        widths = []  # of each longitude's expansion, as magnus_expand takes it
         for i, w in enumerate(self.longitudes, start=1):
             high = w.max_generator()
             if high > self.m:
                 raise ValueError(
                     f"longitude {i} uses generator x{shown(high)} beyond m={self.m}"
                 )
-            widths.append(max(high, 1))
             counts: dict[int, int] = {}
             for g, s in w.letters:
                 counts[g] = counts.get(g, 0) + s
@@ -81,8 +79,7 @@ class LongitudeSystem:
                     f"asymmetric linking numbers: x{j} in longitude {i} gives "
                     f"{lk_ij} but x{i} in longitude {j} gives {lk_ji}"
                 )
-        check_term_budget(self.m, self.depth)
-        check_system_terms(widths, self.depth)
+        check_system_terms(self.m, self.longitudes, self.depth)
         object.__setattr__(self, "_expansions", {})
 
     def linking(self, i: int, j: int) -> int:

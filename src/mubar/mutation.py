@@ -17,10 +17,11 @@ structural operations of :mod:`mubar.links`.  The two halves may be
 known at different depths; they and their connected sum are read at
 the shallower one, and a weight beyond it is refused.
 
-A mutative pair is a ribbon sum alpha # inverse_mirror(alpha) together
-with one of its bi-mutants: when a detector index exists, the sum's
-quotient is free and the mutant's is not, so the two surgery manifolds
-have different q-th lower central quotients (:mod:`mubar.surgery`).
+A mutative pair is a ribbon sum alpha # inverse_mirror(alpha) and one of
+its bi-mutants; it is ``found`` exactly when the sum's q-th lower central
+quotient is free and the mutant's is not (:mod:`mubar.surgery`).  A
+detector index ensures this for a link's system; on one that no link
+realizes the R congruence can fail and leave the mutant's quotient free.
 The paper's weight-9 self-mutant is decided by minimal linkings instead
 (mubar.brackets): mu-bar(122121222) evaluates to -20 on the paper's
 values, so that mutant's ninth quotient is not free, as
@@ -268,7 +269,7 @@ def mutative_pair_report(
     Builds L = alpha # inverse_mirror(alpha) and its tau-mutant, which has
     vanishing residues below weight q (checked) and, at each detector
     index I, the nonvanishing weight-q value mu_alpha(I) - mu_alpha(I^tau);
-    the report shows lcq_is_free(L, q) free and lcq_is_free(mutant, q) not.
+    found is lcq_is_free(L, q) free and lcq_is_free(mutant, q) not.
     Without a detector nothing is built and the report states the negative.
     """
     detectors = find_detector(alpha, q, tau)
@@ -286,12 +287,13 @@ def mutative_pair_report(
     # every D^tau(I) is 0: alpha and the mutant vanish below q (find_detector,
     # the check above), so beta^tau = alpha^-1 * mutant and beta do too
     witnesses = tuple(_report(alpha, beta, composite, d, tau, 0) for d in detectors)
+    ribbon_lcq = lcq_is_free(mutant(alpha, beta), q)
     return MutativePairReport(
         q=q,
         mutation=tau,
-        found=True,
+        found=ribbon_lcq.free and not mutant_lcq.free,
         detectors=tuple(detectors),
-        ribbon_sum=lcq_is_free(mutant(alpha, beta), q),
+        ribbon_sum=ribbon_lcq,
         mutant=mutant_lcq,
         witnesses=witnesses,
     )

@@ -58,20 +58,11 @@ class Word:
 
     letters: tuple[Letter, ...] = ()
 
-    # Words are built in every hot loop, so these three are written out
-    # rather than taken from frozen_record's generic versions.  Touching
-    # self.__dict__ would give every word a dict of its own (64 more
-    # bytes each on CPython 3.11), so the field is set through object.
+    # Only __init__ is written out, to reduce each word as it is built.
+    # Touching self.__dict__ would give every word a dict of its own (64
+    # more bytes each on CPython 3.11), so the field is set through object.
     def __init__(self, letters: tuple[Letter, ...] = ()):
         object.__setattr__(self, "letters", _reduce(letters))
-
-    def __eq__(self, other):
-        if other.__class__ is Word:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)

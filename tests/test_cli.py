@@ -238,6 +238,19 @@ class TestLcqVerb:
         assert data["ribbon_sum"]["free"] is True
         assert data["mutant"]["free"] is False
 
+    def test_pair_with_a_free_mutant_is_not_found(self, capsys):
+        # comm8.json is no link's system: its 84 R detectors leave the
+        # mutant's quotient free, so the pair does not separate
+        code, out, _ = run(
+            capsys, "lcq", "--mutant-of", str(DATA / "comm8.json"), "--type", "R", "--q", "8"
+        )
+        assert code == 0
+        assert out == (DATA / "lcq_mutant_comm8_R_q8.json").read_text()
+        data = json.loads(out)
+        assert (data["found"], data["mutant"]["free"], len(data["detectors"])) == (
+            False, True, 84
+        )
+
     @pytest.mark.parametrize(
         "longitudes, witness",
         [

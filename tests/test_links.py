@@ -430,6 +430,65 @@ class TestR1Kink:
                     assert any(mu(kinked, e) != mu(plain, e) for e in indices)
 
 
+def _commute(a, b) -> bool:
+    # Artin's presentation of P_n: A_rs and A_ij commute when their
+    # intervals are disjoint or nested, and so do two powers of one A_ij
+    (r, s, _), (i, j, _) = a, b
+    return (r, s) == (i, j) or s < i or j < r or i < r < s < j or r < i < j < s
+
+
+def pure_braid_moves(rng: random.Random, braid: PureBraidWord, moves: int):
+    """The braid after ``moves`` moves that keep its closure's link.
+
+    Each move inserts A_ij^e A_ij^-e, rotates the word (conjugation by a
+    pure braid, so no strand is relabelled), or swaps two neighbours that
+    commute in P_n.  Neither route is consulted, so residues compared
+    across the moves test both without a second implementation.
+    """
+    n = braid.strands
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    letters = list(braid.letters)
+    for _ in range(moves):
+        swaps = [k for k in range(len(letters) - 1) if _commute(letters[k], letters[k + 1])]
+        kind = rng.choice(("insert", "rotate", "swap") if swaps else ("insert", "rotate"))
+        if kind == "insert":
+            (i, j), e = rng.choice(pairs), rng.choice((1, -1))
+            k = rng.randint(0, len(letters))
+            letters[k:k] = [(i, j, e), (i, j, -e)]
+        elif kind == "rotate":
+            k = rng.randint(0, len(letters))
+            letters = letters[k:] + letters[:k]
+        else:
+            k = rng.choice(swaps)
+            letters[k], letters[k + 1] = letters[k + 1], letters[k]
+    return PureBraidWord(n, tuple(letters))
+
+
+class TestBraidMoves:
+    """An implementation-free oracle for both braid routes: every
+    (Delta, residue) is a link invariant, so no move may change one."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(pure_braids(max_strands=4, max_letters=6), st.randoms(use_true_random=False))
+    def test_residues_survive_moves(self, braid, rng):
+        q = 4
+        moved = pure_braid_moves(rng, braid, 6)
+        indices = [
+            entries
+            for weight in range(2, q + 1)
+            for entries in product(range(1, braid.strands + 1), repeat=weight)
+        ]
+
+        def residues(system):
+            return [(v.delta, v.residue) for v in (mu_bar(system, e) for e in indices)]
+
+        def via_pd(b, q):
+            return longitudes_mod_q(braid_closure_pd(b), q)
+
+        for route in (artin_longitudes, via_pd):
+            assert residues(route(moved, q)) == residues(route(braid, q))
+
+
 class TestArtin:
     def test_empty_braid(self):
         system = artin_longitudes(PureBraidWord(3, ()), 4)

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from mubar.errors import PreconditionError
 from mubar.magnus import (
+    TERM_BUDGET,
+    WORK_BUDGET,
     NCSeries,
     _position,
+    check_system_terms,
     check_term_budget,
     check_work_budget,
     lcs_depth,
@@ -469,7 +472,40 @@ class TestDecode:
         assert repr(s) == "NCSeries(q=4, {(3,): 2, (1, 3): -1, (2, 1): 3})"
 
 
+def term_budget_refuses_oracle(m: int, q: int) -> bool:
+    """Whether check_term_budget refused before it read magnus._terms: its
+    loop, verbatim apart from returning instead of raising."""
+    total, size = 0, 1
+    for _ in range(q):
+        total += size
+        size *= m
+        # width <= 1 keeps one term per degree, so q itself is the size
+        if total > TERM_BUDGET or (size <= 1 and q > TERM_BUDGET):
+            return True
+    return False
+
+
+def term_budget_refuses(m: int, q: int) -> bool:
+    try:
+        check_term_budget(m, q)
+    except PreconditionError:
+        return True
+    return False
+
+
 class TestTermBudget:
+    def test_matches_oracle(self):
+        grid = [(m, q) for m in range(40) for q in range(45)]
+        grid += [(m, q) for m in (1000, 10**6, 1 << 20, (1 << 20) + 1) for q in range(6)]
+        grid += [(m, q) for m in range(4) for q in (TERM_BUDGET - 1, TERM_BUDGET + 1)]
+        for m, q in grid:
+            assert term_budget_refuses(m, q) == term_budget_refuses_oracle(m, q), (m, q)
+
+    def test_system_check_refuses_a_deep_bound_at_once(self):
+        # the closed form at q = 10^9 would build a billion-bit power
+        with pytest.raises(PreconditionError, match="TERM_BUDGET = 1048576"):
+            check_system_terms(2, (generator(2),), 10**9)
+
     def test_largest_pipeline_use_fits(self):
         check_term_budget(3, 8)
         check_term_budget(4, 4)
@@ -490,6 +526,15 @@ class TestTermBudget:
 
 
 class TestWorkBudget:
+    def test_reads_the_old_term_count(self):
+        # the term count check_work_budget summed before it read _terms
+        for m in range(1, 7):
+            for q in range(1, 12):
+                letters = WORK_BUDGET // sum(m**d for d in range(q))
+                check_work_budget(letters, m, q)
+                with pytest.raises(PreconditionError, match="WORK_BUDGET"):
+                    check_work_budget(letters + 1, m, q)
+
     def test_borromean_depth_9_fits(self):
         # the arc letters of nine rewriting rounds on the Borromean PD
         check_work_budget(185_262, 3, 9)

@@ -72,7 +72,7 @@ def mutative_pair_report_oracle(
     return MutativePairReport(
         q=q,
         mutation=tau,
-        found=True,
+        found=lcq_is_free(ribbon, q).free and not lcq_is_free(mutant_sys, q).free,
         detectors=tuple(detectors),
         ribbon_sum=lcq_is_free(ribbon, q),
         mutant=lcq_is_free(mutant_sys, q),
@@ -297,6 +297,37 @@ class TestMutativePair:
         assert len(report.witnesses) == 30
         assert calls == []
 
+    def test_found_is_read_off_the_two_quotients(self):
+        # 78 reports: the commutator systems at q = 3-10 and l6 at q = 5-6,
+        # each with F, R and FR.  The commutator systems are no link's, and
+        # where their R congruence fails the mutant quotient is free too.
+        cases = [
+            (f"comm{q}[{k}]", alpha, q)
+            for q in range(3, 11)
+            for k, alpha in enumerate(commutator_systems(q))
+        ]
+        cases += [(f"l6-q{q}", milnor_l6_system(), q) for q in (5, 6)]
+        free_mutants, found = set(), set()
+        for name, alpha, q in cases:
+            for tau in MUTATION_TYPES:
+                report = mutative_pair_report(alpha, q, tau)
+                if not report.detectors:
+                    assert not report.found and report.mutant is None
+                    continue
+                assert report.ribbon_sum.free
+                assert report.found == (not report.mutant.free)
+                if report.found:
+                    found.add((name, tau))
+                else:
+                    free_mutants.add((name, tau))
+                    assert not any(r.congruent for r in report.witnesses)
+        assert len(cases) * len(MUTATION_TYPES) == 78
+        assert free_mutants == {
+            *((f"comm{q}[{k}]", "R") for q in (4, 6, 8, 10) for k in range(3)),
+            ("comm6[0]", "FR"),
+        }
+        assert {("l6-q6", "F"), ("l6-q6", "FR")} <= found
+
     def test_json_shape(self):
         alpha = milnor_l6_system()
         data = mutative_pair_report(alpha, 6, "F").to_json()
@@ -332,5 +363,5 @@ class TestMutativePairAgainstOracle:
         alpha = commutator_systems(8)[which]
         report = mutative_pair_report_oracle(alpha, 8, tau)
         assert mutative_pair_report(alpha, 8, tau) == report
-        assert report.found
+        assert report.found == (not report.mutant.free)
         assert all(r.modulus == 0 for r in report.witnesses)
