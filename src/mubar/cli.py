@@ -9,7 +9,9 @@ nests JSON too deeply), 3 violated precondition.
 
 Link inputs may be longitude-system JSON ({m, depth, longitudes}),
 PD-code JSON ({m, components, crossings}) or braid text (``n; A12
-...``); each is read at the depth the requested computation needs,
+...``), which is read as the PD code of its closure, so diagrams and
+braids share one rewriting pipeline; each is read at the depth the
+requested computation needs,
 which is its weight (Milnor's bound, see mubar.milnor), never below
 depth 2, unless ``--depth`` overrides it, and a deeper longitude-system
 file is truncated to that depth.
@@ -36,7 +38,8 @@ import sys
 from . import corpus
 from .brackets import evaluate_detailed, massey_sum
 from .errors import ParseError, PreconditionError, shown, strict_int
-from .links import artin_longitudes, load_pd, longitudes_mod_q, parse_braid
+from .links import braid_closure_pd, load_pd, longitudes_mod_q, parse_braid
+from .magnus import check_term_budget
 from .milnor import (
     LongitudeSystem,
     all_vanish_up_to,
@@ -134,7 +137,11 @@ def load_system(path: str, depth: int) -> LongitudeSystem:
         raise ParseError(
             f"{path}: JSON is neither a longitude system nor a PD code"
         )
-    return artin_longitudes(parse_braid(text), depth)
+    braid = parse_braid(text)
+    # the depth's own bound first, as for the other formats, then the
+    # closure's size before it is built
+    check_term_budget(braid.strands, depth)
+    return longitudes_mod_q(braid_closure_pd(braid), depth)
 
 
 def _load(path: str, args, minimum: int) -> LongitudeSystem:

@@ -1,14 +1,15 @@
 """Longitude systems from concrete link presentations.
 
-Two input pipelines produce a :class:`LongitudeSystem`:
-
-* planar diagrams (PD codes) via the Wirtinger presentation and an
-  iterative rewriting of arc meridians, and
-* pure braid words via the Artin action on the free group.
-
-plus structural operations: componentwise connected sum, the
-inverse-mirror, and one relabelling map that reorders, selects and
-reorients components.
+One pipeline produces a :class:`LongitudeSystem` from a diagram:
+planar diagrams (PD codes) go through the Wirtinger presentation and an
+iterative rewriting of arc meridians (:func:`longitudes_mod_q`), and a
+pure braid word goes through the same rewriting of its closure
+(:func:`braid_closure_pd`).  The Artin action on the free group
+(:func:`artin_longitudes`) is kept as an independent reference route
+for the tests and the benchmark's checks; no verb reads through it.
+Beside them are the structural operations: componentwise connected
+sum, the inverse-mirror, and one relabelling map that reorders,
+selects and reorients components.
 
 PD format.  A crossing is recorded as four arc labels counterclockwise
 starting at the incoming under-strand, together with an explicit sign:
@@ -39,7 +40,7 @@ from .errors import ParseError, PreconditionError, shown, strict_int
 from .magnus import check_term_budget, check_work_budget
 from .milnor import LongitudeSystem
 from .records import frozen_record
-from .words import Word, check_letter_budget, generator, identity, substitute
+from .words import Letter, Word, check_letter_budget, generator, identity, substitute
 
 
 @frozen_record
@@ -129,21 +130,23 @@ def load_pd(data: dict) -> PDCode:
 def _trace(pd: PDCode) -> list[list[tuple[str, int]]]:
     under_unused: dict[tuple[int, int], list[int]] = {}
     over_unused: dict[frozenset[int], list[int]] = {}
+    first_use: dict[int, Crossing] = {}  # arc -> first crossing using it
     for k, x in enumerate(pd.crossings):
         under_unused.setdefault((x.under_in, x.under_out), []).append(k)
         over_unused.setdefault(x.over_pair, []).append(k)
+        for arc in x.arcs:
+            first_use.setdefault(arc, x)
 
     walks: list[list[tuple[str, int]]] = []
     for comp in pd.components:
         walk: list[tuple[str, int]] = []
         if len(comp) == 1:
-            arc = comp[0]
-            for x in pd.crossings:
-                if arc in x.arcs:
-                    raise ParseError(
-                        f"single-arc component uses arc {shown(arc)} at a crossing "
-                        f"{shown(x.arcs)}"
-                    )
+            x = first_use.get(comp[0])
+            if x is not None:
+                raise ParseError(
+                    f"single-arc component uses arc {shown(comp[0])} at a crossing "
+                    f"{shown(x.arcs)}"
+                )
             walks.append(walk)
             continue
         for t, arc in enumerate(comp):
@@ -164,7 +167,7 @@ def _trace(pd: PDCode) -> list[list[tuple[str, int]]]:
     leftover += [k for ks in over_unused.values() for k in ks]
     if leftover:
         raise ParseError(
-            f"crossing(s) {sorted(set(leftover))} not consumed by any "
+            f"crossing(s) {shown(sorted(set(leftover)))} not consumed by any "
             f"component walk"
         )
     return walks
@@ -177,19 +180,55 @@ def _zero_framed(w: Word, i: int) -> Word:
     return w * generator(i) ** (-w.exponent_sum(i))
 
 
-def _running_products(pd: PDCode, walk, exprs: dict[int, Word]) -> list[Word]:
+def _running_products(pd: PDCode, walk, exprs: dict[int, Word]):
     # Entry t is the product of u^s over the first t passages of the walk
     # (u the over-strand's arc expression, s the crossing sign): the t-th
-    # arc's conjugator, and at t = len(walk) the unframed longitude.
+    # arc's conjugator.  Each entry is made when it is read, so no walk's
+    # list is held.
     conj = identity()
-    out = [conj]
+    yield conj
     for kind, k in walk:
         if kind == "under":
             x = pd.crossings[k]
             u = exprs[x.arcs[1]]
             conj = conj * (u if x.sign == 1 else u.inverse())
-        out.append(conj)
-    return out
+        yield conj
+
+
+# Most letters one rewriting round may build: each arc expression and
+# the conjugator it is made from are counted as they are made, and the
+# longitudes' letters are counted the same way.  WORK_BUDGET, checked
+# after the round, admits 1.4 x 10^9 arc letters at m = 2, q = 3, and
+# never sees the conjugators, which grow while a run of kinks keeps
+# every arc expression one letter long.  A held letter costs about 8
+# bytes, a pointer to a shared letter object: on a 2-vCPU host with
+# Python 3.11, the round of 2; A12^2000 at q = 3 (16,004,000 arc
+# letters) took 8.1 bytes a letter of peak RSS, where fresh letter
+# tuples took 81 bytes.  Building costs 0.25-0.7 us a counted letter,
+# so a round stops within about 7 s.  At q = 3, 2; A12^1290 answers
+# (2.6 s, 107 MB peak) and 2; A12^1291 exits 3.
+ARC_LETTER_BUDGET = 10_000_000
+
+
+def _count_letters(total: int, more: int, stage: str) -> int:
+    total += more
+    if total > ARC_LETTER_BUDGET:
+        raise PreconditionError(
+            f"{stage} builds more than ARC_LETTER_BUDGET = {ARC_LETTER_BUDGET} letters"
+        )
+    return total
+
+
+def _longitude_letters(pd: PDCode, walk, exprs: dict[int, Word]) -> list[Letter]:
+    # the letters of the whole walk's product of u^s, unreduced: the last
+    # of _running_products without building the ones before it
+    letters: list[Letter] = []
+    for kind, k in walk:
+        if kind == "under":
+            x = pd.crossings[k]
+            u = exprs[x.arcs[1]]
+            letters += (u if x.sign == 1 else u.inverse()).letters
+    return letters
 
 
 def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
@@ -218,19 +257,25 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
         arc: generator(i)
         for i, comp in enumerate(pd.components, start=1) for arc in comp
     }
-    for _ in range(q - 2):
-        exprs = {
-            arc: w.inverse() * generator(i) * w
-            for i, (comp, walk) in enumerate(zip(pd.components, walks), start=1)
-            for arc, w in zip(comp, _running_products(pd, walk, exprs))
-        }
+    for rnd in range(1, q - 1):
+        stage = f"rewriting round {rnd}"
+        built: dict[int, Word] = {}
+        letters = 0
+        for i, (comp, walk) in enumerate(zip(pd.components, walks), start=1):
+            x = generator(i)
+            for arc, w in zip(comp, _running_products(pd, walk, exprs)):
+                built[arc] = w.inverse() * x * w
+                letters = _count_letters(letters, len(w) + len(built[arc]), stage)
+        exprs = built
         check_work_budget(sum(map(len, exprs.values())), pd.m, q)
-    longs = tuple(
-        _zero_framed(_running_products(pd, walk, exprs)[-1], i)
-        for i, walk in enumerate(walks, start=1)
-    )
+    longs = []
+    letters = 0
+    for i, walk in enumerate(walks, start=1):
+        product = _longitude_letters(pd, walk, exprs)
+        letters = _count_letters(letters, len(product), "reading the longitudes")
+        longs.append(_zero_framed(Word(tuple(product)), i))
     try:
-        return LongitudeSystem(pd.m, q, longs)
+        return LongitudeSystem(pd.m, q, tuple(longs))
     except PreconditionError:
         raise  # a budget refusal, not a malformed PD code
     except ValueError as exc:
@@ -323,14 +368,6 @@ def _sigmas(i: int, j: int, e: int) -> list[tuple[int, int]]:
     return seq
 
 
-# Most strands times letters the Artin route may compose: each letter
-# rebuilds the step images and substitutes into every strand's
-# conjugator, about 4-5.5 us per strand-letter even when nothing grows,
-# so this bounds that work at about 5 s.  It refuses 20,000 strands by
-# 200 letters (18-22 s) and 300 strands by 10,000 letters (11-18 s).
-STRAND_LETTER_BUDGET = 1_000_000
-
-
 def _artin_conjugators(b: PureBraidWord) -> dict[int, Word]:
     # W_t with x_t -> W_t x_t W_t^-1 under the braid's Artin action.
     # A_ij^e, with c = x_i x_j and d = x_j x_i, conjugates x_i and x_j by
@@ -368,33 +405,46 @@ def artin_longitudes(b: PureBraidWord, q: int) -> LongitudeSystem:
     if q < 2:
         raise PreconditionError("depth must be at least 2")
     check_term_budget(b.strands, q)
-    if b.strands * len(b.letters) > STRAND_LETTER_BUDGET:
-        raise PreconditionError(
-            f"{b.strands} strands by {len(b.letters)} letters is more than "
-            f"STRAND_LETTER_BUDGET = {STRAND_LETTER_BUDGET} for the Artin route"
-        )
     conj = _artin_conjugators(b)
     return LongitudeSystem(
         b.strands, q, tuple(_zero_framed(conj[i], i) for i in conj)
     )
 
 
+# Most arcs and crossings the closure of one braid may have: one arc per
+# strand plus 2(j - i) crossings per letter A_ij, counted from the
+# letters before anything is built.  Reading a closure through lcq --q 2
+# costs about 15-22 us and 0.7-1.2 KB a unit (2-vCPU host, Python 3.11),
+# so this holds it to about 5 s: at 250,000 units, 2, 3, 50 and 1,000
+# strands and 250,000 idle strands took 3.7-5.5 s and 170-295 MB.  A
+# strand count of 10^12 or a letter A1,1000000 is refused before any
+# arc is made.
+CLOSURE_BUDGET = 250_000
+
+
 def braid_closure_pd(b: PureBraidWord) -> PDCode:
     """The planar diagram traced by closing a pure braid.
 
-    Arcs are laid out crossing by crossing up the braid and the top of
-    each strand is glued to its bottom.  At a positive crossing the
-    left strand passes over; the opposite convention is the same link
-    (rotate the page about the braid axis), so nothing downstream
-    depends on it.  Useful as an independent route into
-    longitudes_mod_q for links defined by braids.
+    This is the braid route into longitudes_mod_q: braid text is read
+    as the longitudes of its closure.  Arcs are laid out crossing by
+    crossing up the braid and the top of each strand is glued to its
+    bottom.  At a positive crossing the left strand passes over; the
+    opposite convention is the same link (rotate the page about the
+    braid axis), so nothing downstream depends on it.
     """
     n = b.strands
+    size = n + sum(2 * (j - i) for i, j, _ in b.letters)
+    if size > CLOSURE_BUDGET:
+        raise PreconditionError(
+            f"the closure of a {shown(n)}-strand braid of {len(b.letters)} "
+            f"letters has {shown(size)} arcs and crossings, more than "
+            f"CLOSURE_BUDGET = {CLOSURE_BUDGET}"
+        )
     current = list(range(1, n + 1))    # arc id at each position
     strand_at = list(range(1, n + 1))  # strand at each position
     arcs_of = {s: [s] for s in range(1, n + 1)}
     next_arc = n + 1
-    crossings = []
+    crossings = []  # (arcs, sign), glued into Crossings at the end
     sigmas = [sig for i, j, e in b.letters for sig in _sigmas(i, j, e)]
     for k, eps in sigmas:
         a_left, a_right = current[k - 1], current[k]
@@ -407,7 +457,7 @@ def braid_closure_pd(b: PureBraidWord) -> PDCode:
         else:
             under_in, over_in = a_left, a_right
             under_out, over_out = new_right, new_left
-        crossings.append(Crossing((under_in, over_in, under_out, over_out), eps))
+        crossings.append(((under_in, over_in, under_out, over_out), eps))
         current[k - 1], current[k] = new_left, new_right
         strand_at[k - 1], strand_at[k] = s_right, s_left
         arcs_of[s_left].append(new_right)
@@ -422,8 +472,8 @@ def braid_closure_pd(b: PureBraidWord) -> PDCode:
             arcs = arcs[:-1]
         comps.append(tuple(arcs))
     crossings = tuple(
-        Crossing(tuple(merge.get(a, a) for a in x.arcs), x.sign)
-        for x in crossings
+        Crossing(tuple(merge.get(a, a) for a in arcs), sign)
+        for arcs, sign in crossings
     )
     return PDCode(n, tuple(comps), crossings)
 

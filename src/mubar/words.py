@@ -39,8 +39,11 @@ def check_letter_budget(total: int) -> None:
 
 
 def _reduce(raw) -> tuple[Letter, ...]:
+    # Each letter object is kept, not rebuilt: the words a rewriting round
+    # builds then share their letters, at about 8 bytes a letter.
     out: list[Letter] = []
-    for gen, sign in raw:
+    for letter in raw:
+        gen, sign = letter
         if gen < 1:
             raise ValueError(f"generator index must be >= 1, got {gen}")
         if sign not in (1, -1):
@@ -48,8 +51,20 @@ def _reduce(raw) -> tuple[Letter, ...]:
         if out and out[-1][0] == gen and out[-1][1] == -sign:
             out.pop()
         else:
-            out.append((gen, sign))
+            out.append(letter)
     return tuple(out)
+
+
+class _Inverses(dict):
+    # letter -> its inverse letter, one shared object per letter seen:
+    # at most 2 entries per generator
+    def __missing__(self, letter: Letter) -> Letter:
+        gen, sign = letter
+        inverse = self[letter] = (gen, -sign)
+        return inverse
+
+
+_INVERSE = _Inverses()
 
 
 @frozen_record
@@ -71,7 +86,7 @@ class Word:
         return len(self.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return Word(tuple(map(_INVERSE.__getitem__, reversed(self.letters))))
 
     def exponent_sum(self, gen: int) -> int:
         return sum(s for g, s in self.letters if g == gen)

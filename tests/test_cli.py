@@ -19,6 +19,7 @@ from mubar import cli
 from mubar.cli import main
 from mubar.corpus import corpus_files, hopf_pd
 from mubar.errors import shown
+from mubar.links import braid_closure_pd, longitudes_mod_q, parse_braid
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -489,6 +490,11 @@ INPUT_CHECKS = {
     "pd-crossing-not-consumed": (
         _MU, _pd_text(crossings=_HOPF_CROSSINGS + _HOPF_CROSSINGS[:1]), 2,
         "parse error: crossing(s) [2] not consumed by any component walk",
+    ),
+    "pd-crossings-not-consumed-cut": (
+        _MU, _pd_text(crossings=_HOPF_CROSSINGS * 20), 2,
+        "parse error: crossing(s) [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,... "
+        "(144 characters) not consumed by any component walk",
     ),
     "braid-no-strands": (_MU, "0;", 2, "parse error: strand count must be positive"),
     "braid-bad-count": (_MU, "x; A12", 2, "parse error: bad strand count 'x'"),
@@ -990,7 +996,8 @@ class TestSubindexBudget:
         named = re.findall(r"`mubar\.(\w+)\.(\w+)` = ([\d,^]*\d)", text)
         assert sorted((module, name) for module, name, _ in named) == [
             ("brackets", "WEIGHT_CAP"),
-            ("links", "STRAND_LETTER_BUDGET"),
+            ("links", "ARC_LETTER_BUDGET"),
+            ("links", "CLOSURE_BUDGET"),
             ("magnus", "SYSTEM_TERM_BUDGET"),
             ("magnus", "TERM_BUDGET"),
             ("magnus", "WORK_BUDGET"),
@@ -1194,27 +1201,136 @@ def _commutator_braid_text(rng: random.Random, strands: int, count: int) -> str:
     return f"{strands}; " + " ".join(tokens) + "\n"
 
 
-class TestStrandLetterBudget:
+class TestClosureBudget:
     @pytest.mark.parametrize(
-        "text, named",
+        "text",
         [
-            ("20000; " + " ".join(["A12 A12^-1"] * 100) + "\n", "20000 strands by 200 letters"),
-            ("300; " + " ".join(["A12 A12^-1"] * 5000) + "\n", "300 strands by 10000 letters"),
+            "20000; " + " ".join(["A12 A12^-1"] * 100) + "\n",
+            "300; " + " ".join(["A12 A12^-1"] * 5000) + "\n",
         ],
         ids=["20000-strands", "10000-letters"],
     )
-    def test_wide_or_long_braid_exit_3(self, tmp_path, capsys, text, named):
-        # composed letter by letter, these took 18 s and 11 s
+    def test_wide_or_long_braid_answers(self, tmp_path, capsys, text):
+        # the Artin route refused these on strands times letters; their
+        # closures have 20,400 and 20,300 arcs and crossings
         path = tmp_path / "wide.braid"
+        path.write_text(text)
+        start = time.process_time()
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "2")
+        assert time.process_time() - start < 2
+        assert (code, err) == (0, "")
+        assert json.loads(out)["free"] is True
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (
+                "3; " + " ".join(["A13 A13^-1"] * 31250) + "\n",
+                "a 3-strand braid of 62500 letters has 250003",
+            ),
+            (
+                "1000; " + " ".join(["A1,1000 A1,1000^-1"] * 63) + "\n",
+                "a 1000-strand braid of 126 letters has 252748",
+            ),
+            ("300000;\n", "a 300000-strand braid of 0 letters has 300000"),
+        ],
+        ids=["long", "wide-letters", "many-strands"],
+    )
+    def test_past_the_budget_exit_3(self, tmp_path, capsys, text, named):
+        path = tmp_path / "big.braid"
         path.write_text(text)
         start = time.process_time()
         code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "2")
         assert time.process_time() - start < 1
         assert (code, out) == (3, "")
         assert err == (
-            f"mubar: precondition violated: {named} is more than "
-            "STRAND_LETTER_BUDGET = 1000000 for the Artin route\n"
+            f"mubar: precondition violated: the closure of {named} arcs and "
+            "crossings, more than CLOSURE_BUDGET = 250000\n"
         )
+
+    def test_huge_strand_count_exit_3(self, tmp_path, capsys):
+        # the depth's term bound is read before the closure's size
+        path = tmp_path / "huge.braid"
+        path.write_text("1000000000000; A12\n")
+        start = time.process_time()
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "2")
+        assert time.process_time() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            "mubar: precondition violated: a series of degree bound 2 in "
+            "1000000000000 variables has more than TERM_BUDGET = 1048576 terms\n"
+        )
+
+
+_EIGHT_LETTER_BRAID = "4; A14 A13^-1 A24^-1 A13 A24^-1 A34^-1 A13^-1 A14\n"
+
+
+class TestBraidRoute:
+    def test_commutator_braid_is_free(self, tmp_path, capsys):
+        # Artin images of this 100-letter braid in Gamma_3(P_4) passed
+        # 100,000 letters at its 27th letter; its closure answers
+        text = _commutator_braid_text(random.Random(2), 4, 10)
+        assert len(text.split()) == 101
+        path = tmp_path / "gamma3.braid"
+        path.write_text(text)
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "free": True, "q": 3, "witness": None, "witness_relator": None,
+        }
+
+    @pytest.mark.parametrize("q", [4, 5, 6])
+    def test_eight_letter_braid_answers(self, tmp_path, capsys, q):
+        # the Artin route refused this braid at every q (104,694 letters)
+        path = tmp_path / "found.braid"
+        path.write_text(_EIGHT_LETTER_BRAID)
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", str(q))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "free": False, "q": q, "witness": "13", "witness_relator": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "q, stage",
+        [(3, "rewriting round 1"), (2, "reading the longitudes")],
+        ids=["round", "longitudes"],
+    )
+    def test_arc_letter_cap_exit_3(self, tmp_path, capsys, monkeypatch, q, stage):
+        # 2; A12^20 builds 1,640 arc letters, beside their conjugators, in
+        # its one round at q = 3, and 40 unreduced longitude letters at q = 2
+        monkeypatch.setattr("mubar.links.ARC_LETTER_BUDGET", 39)
+        path = tmp_path / "power.braid"
+        path.write_text("2; A12^20\n")
+        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", str(q))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"mubar: precondition violated: {stage} builds more than "
+            "ARC_LETTER_BUDGET = 39 letters\n"
+        )
+
+    @pytest.mark.parametrize("name", ["hopf.braid", "borromean.braid"])
+    def test_load_system_is_the_closure_route(self, corpus_dir, name):
+        path = corpus_dir / name
+        braid = parse_braid(path.read_text())
+        for depth in range(2, 7):
+            assert cli.load_system(str(path), depth) == longitudes_mod_q(
+                braid_closure_pd(braid), depth
+            )
+
+
+class TestManySingleArcComponents:
+    def test_answers_in_linear_time(self, tmp_path, capsys):
+        # 10,000 components, all but two of them one crossing-free arc, and
+        # 10,000 crossings: checking each such component against every
+        # crossing took 6 s
+        pd = braid_closure_pd(parse_braid("10000; " + "A12 A12^-1 " * 2500))
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(pd.to_json()))
+        start = time.process_time()
+        code, out, err = run(capsys, "mu", "--link", str(path), "--index", "12")
+        assert time.process_time() - start < 2
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"index": "12", "mu": 0}
 
 
 class TestSystemTermBudget:
@@ -1275,17 +1391,3 @@ class TestLongArgv:
         assert len(err.encode()) < 400
         assert "unrecognized arguments: " in err
         assert err.endswith(f"{shown(_LONG, is_repr=True)}\n")
-
-
-class TestArtinLetterBudget:
-    def test_commutator_braid_exit_3(self, tmp_path, capsys):
-        # Artin images of this 100-letter braid in Gamma_3(P_4) pass
-        # 100,000 letters at its 27th letter and grow exponentially after
-        text = _commutator_braid_text(random.Random(2), 4, 10)
-        assert len(text.split()) == 101
-        path = tmp_path / "gamma3.braid"
-        path.write_text(text)
-        code, out, err = run(capsys, "lcq", "--link", str(path), "--q", "3")
-        assert code == 3
-        assert out == ""
-        assert "LETTER_BUDGET = 100000" in err

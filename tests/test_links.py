@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, permutations, product
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubar.cli import main
 from mubar.corpus import (
     borromean_braid,
     borromean_pd,
+    corpus_files,
     hopf_braid,
     hopf_pd,
     unlink_pd,
@@ -321,6 +324,18 @@ class TestPDValidation:
                 PDCode(2, ((1,), (2, 3)), (Crossing((2, 1, 3, 1), 1),)), 3
             )
 
+    def test_single_arc_refusal_names_the_first_crossing_using_it(self):
+        crossings = (
+            Crossing((2, 3, 3, 2), 1),
+            Crossing((3, 1, 2, 1), 1),
+            Crossing((2, 1, 3, 1), -1),
+        )
+        with pytest.raises(ParseError) as got:
+            _trace(PDCode(2, ((1,), (2, 3)), crossings))
+        assert str(got.value) == (
+            "single-arc component uses arc 1 at a crossing (3, 1, 2, 1)"
+        )
+
 
 def linking_numbers(pd: PDCode) -> list[list[int]]:
     """Pairwise linking numbers of a PD code, 0 on the diagonal."""
@@ -428,6 +443,22 @@ class TestR1Kink:
                     assert residues(kinked) == expected, (comp, t, sign)
                     # the words do change, so the comparison is not vacuous
                     assert any(mu(kinked, e) != mu(plain, e) for e in indices)
+
+    def test_round_counts_the_conjugators(self, monkeypatch):
+        # 30 kinks in a row keep component 1's arc expressions one letter
+        # long (66 arc letters in all) while its conjugators grow to x1^30
+        # (961 letters); the round's work is in those, so both count
+        pd = hopf_pd()
+        for _ in range(30):
+            pd = r1_kink(pd, 0, 0, 1)
+        monkeypatch.setattr("mubar.links.ARC_LETTER_BUDGET", 1027)
+        longitudes_mod_q(pd, 3)
+        monkeypatch.setattr("mubar.links.ARC_LETTER_BUDGET", 1026)
+        with pytest.raises(PreconditionError) as got:
+            longitudes_mod_q(pd, 3)
+        assert str(got.value) == (
+            "rewriting round 1 builds more than ARC_LETTER_BUDGET = 1026 letters"
+        )
 
 
 def _commute(a, b) -> bool:
@@ -679,6 +710,22 @@ class TestPDAgainstArtin:
             for entries in product(range(1, braid.strands + 1), repeat=weight):
                 x, y = mu_bar(via_pd, entries), mu_bar(via_artin, entries)
                 assert (x.residue, x.delta) == (y.residue, y.delta)
+
+    @pytest.mark.parametrize("name", ["hopf.braid", "borromean.braid"])
+    def test_cli_braid_input_agrees(self, tmp_path, capsys, name):
+        # braid text reaches the CLI through its closure; every index of
+        # weight <= 5 must show the Artin route's Delta and residue
+        path = tmp_path / name
+        path.write_text(corpus_files()[name])
+        braid = parse_braid(path.read_text())
+        for weight in range(2, 6):
+            via_artin = artin_longitudes(braid, weight)
+            for entries in product(range(1, braid.strands + 1), repeat=weight):
+                index = "".join(map(str, entries))
+                assert main(["mu-bar", "--link", str(path), "--index", index]) == 0
+                got = json.loads(capsys.readouterr().out)
+                want = mu_bar(via_artin, entries)
+                assert (got["delta"], got["residue"]) == (want.delta, want.residue)
 
 
 class TestConnectedSum:

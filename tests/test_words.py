@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,29 @@ class TestInvert:
             assert word.inverse().inverse() == word
             assert len(word.inverse()) == len(word)
             assert word * word.inverse() == identity()
+
+
+class TestLetterSharing:
+    def test_rewritten_word_costs_a_pointer_per_letter(self):
+        # a rewriting round builds w^-1 x w from a previous round's w; its
+        # letters are the objects of w and of the shared inverse table,
+        # so each built letter costs a tuple slot, about 8 bytes, where a
+        # fresh (generator, sign) tuple costs 56 more
+        word = parse_word(" ".join(["x1 x2^-1 x3"] * 2000))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            built = [word.inverse() * generator(k) * word for k in (4, 5, 6, 7)]
+            used = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, built)) == 4 * 12_001
+        assert used / (4 * 12_001) < 10
+
+    def test_inverse_letters_are_shared(self):
+        a, b = generator(3).inverse(), w("x2 x3").inverse()
+        assert a.letters[0] is b.letters[0]
+        assert a.letters[0] == (3, -1)
 
 
 class TestCommutator:
