@@ -20,10 +20,11 @@ The Wirtinger relation attached to a crossing of sign ``s`` is
 
     m(c) = u^-s  m(a)  u^s        (u = meridian of the over-strand)
 
-and the longitude of a component is the ordered product of u^s over its
-under-passages, times x_i^-e for the 0-framing, with e its x_i exponent
-sum (the component's self-writhe).  The Artin route frames by the same
-exponent-sum rule.
+so each under-passage has the factor u^s.  Every arc of a component is
+its base meridian conjugated by the product of the factors before it,
+and the longitude is the product of all of them, times x_i^-e for the
+0-framing, with e its x_i exponent sum (the component's self-writhe).
+The Artin route frames by the same exponent-sum rule.
 
 JSON: ``{"m": .., "components": [[arc, ..], ..],
 "crossings": [{"arcs": [a,b,c,d], "sign": +-1}, ..]}``.
@@ -40,7 +41,7 @@ from .errors import ParseError, PreconditionError, shown, strict_int
 from .magnus import check_term_budget, check_work_budget
 from .milnor import LongitudeSystem
 from .records import frozen_record
-from .words import Letter, Word, check_letter_budget, generator, identity, substitute
+from .words import Word, check_letter_budget, generator, identity, substitute
 
 
 @frozen_record
@@ -180,19 +181,12 @@ def _zero_framed(w: Word, i: int) -> Word:
     return w * generator(i) ** (-w.exponent_sum(i))
 
 
-def _running_products(pd: PDCode, walk, exprs: dict[int, Word]):
-    # Entry t is the product of u^s over the first t passages of the walk
-    # (u the over-strand's arc expression, s the crossing sign): the t-th
-    # arc's conjugator.  Each entry is made when it is read, so no walk's
-    # list is held.
-    conj = identity()
-    yield conj
-    for kind, k in walk:
-        if kind == "under":
-            x = pd.crossings[k]
-            u = exprs[x.arcs[1]]
-            conj = conj * (u if x.sign == 1 else u.inverse())
-        yield conj
+def _passage_factor(pd: PDCode, k: int, exprs: dict[int, Word]) -> Word:
+    # the factor u^s of the under-passage at crossing k, u the over-strand's
+    # arc expression in exprs: the rounds and the longitudes read it here
+    x = pd.crossings[k]
+    u = exprs[x.arcs[1]]
+    return u if x.sign == 1 else u.inverse()
 
 
 # Most letters one rewriting round may build: each arc expression and
@@ -219,27 +213,14 @@ def _count_letters(total: int, more: int, stage: str) -> int:
     return total
 
 
-def _longitude_letters(pd: PDCode, walk, exprs: dict[int, Word]) -> list[Letter]:
-    # the letters of the whole walk's product of u^s, unreduced: the last
-    # of _running_products without building the ones before it
-    letters: list[Letter] = []
-    for kind, k in walk:
-        if kind == "under":
-            x = pd.crossings[k]
-            u = exprs[x.arcs[1]]
-            letters += (u if x.sign == 1 else u.inverse()).letters
-    return letters
-
-
 def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
     """Longitude words valid mod F_q after q - 2 rounds of rewriting.
 
     Arc expressions start as the base meridian x_i of their component.
     A round walks each component from its base arc and sets the t-th
-    arc to w^-1 x_i w, with w the product of u^s over the first t
-    under-passages in the previous round's expressions.  The longitude
-    is the whole walk's product times x_i^-e, e its x_i exponent sum
-    (the self-writhe; this is the 0-framing).
+    arc to w^-1 x_i w, with w the product of the passage factors over
+    the first t passages, read in the previous round's expressions.
+    The longitude is the whole walk's product, 0-framed.
 
     Why q - 2 rounds suffice: after r rounds every arc expression is
     right mod F_(r+2).  For r = 0, w^-1 x_i w = x_i mod F_2.  A round
@@ -262,8 +243,13 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
         built: dict[int, Word] = {}
         letters = 0
         for i, (comp, walk) in enumerate(zip(pd.components, walks), start=1):
+            # arc t's conjugator gains passage t - 1's factor; the last
+            # passage closes the walk and only the longitude reads it
             x = generator(i)
-            for arc, w in zip(comp, _running_products(pd, walk, exprs)):
+            w = identity()
+            for t, arc in enumerate(comp):
+                if t and walk[t - 1][0] == "under":
+                    w = w * _passage_factor(pd, walk[t - 1][1], exprs)
                 built[arc] = w.inverse() * x * w
                 letters = _count_letters(letters, len(w) + len(built[arc]), stage)
         exprs = built
@@ -271,7 +257,10 @@ def longitudes_mod_q(pd: PDCode, q: int) -> LongitudeSystem:
     longs = []
     letters = 0
     for i, walk in enumerate(walks, start=1):
-        product = _longitude_letters(pd, walk, exprs)
+        product = [
+            a for kind, k in walk if kind == "under"
+            for a in _passage_factor(pd, k, exprs).letters
+        ]
         letters = _count_letters(letters, len(product), "reading the longitudes")
         longs.append(_zero_framed(Word(tuple(product)), i))
     try:

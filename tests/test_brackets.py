@@ -13,6 +13,7 @@ from mubar.brackets import (
     LinkingExpr,
     canonicalize,
     evaluate_detailed,
+    letter_of,
     massey_sum,
     parenthesizations,
     parse_bracket,
@@ -290,6 +291,24 @@ class TestCanonicalize:
                 assert sign == factor * sign2
             else:
                 assert sign2 == 0
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: letter_of(13), "component 13 has no letter (supported: 1..12)"),
+            (lambda: render_linking(1), "a formal linking needs weight > 1"),
+            (lambda: canonicalize(1), "a formal linking needs weight > 1"),
+            (lambda: parenthesizations((), 1), "need at least one letter to bracket"),
+        ],
+        ids=[
+            "letter_of-13", "render_linking-1", "canonicalize-1",
+            "parenthesizations-empty",
+        ],
+    )
+    def test_input_checks(self, call, message):
+        with pytest.raises(PreconditionError) as got:
+            call()
+        assert str(got.value) == message
 
 
 class TestCanonicalizeAgainstOrbitSearch:

@@ -550,6 +550,27 @@ class TestArtin:
         with pytest.raises(ValueError):
             PureBraidWord(3, ((1, 4, 1),))
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: PureBraidWord(2, ((1, 2, 2),)),
+                ValueError,
+                "letter exponent must be +-1, got 2",
+            ),
+            (
+                lambda: artin_longitudes(hopf_braid(), 1),
+                PreconditionError,
+                "depth must be at least 2",
+            ),
+        ],
+        ids=["letter-exponent-2", "artin-depth-1"],
+    )
+    def test_input_checks(self, call, error, message):
+        with pytest.raises(error) as got:
+            call()
+        assert (type(got.value), str(got.value)) == (error, message)
+
     def test_closure_pd_of_hopf_braid(self):
         pd = braid_closure_pd(hopf_braid())
         assert linking_numbers(pd) == [[0, 1], [1, 0]]
@@ -695,6 +716,16 @@ class TestArtinAgainstOracle:
         assert "expands to 104694 letters" in refusals[found]
 
 
+def over_arcs_swapped(pd: PDCode) -> PDCode:
+    """The same diagram with each crossing's two over-strand arcs listed
+    in the other order, which the PD format leaves free."""
+    crossings = tuple(
+        Crossing((x.arcs[0], x.arcs[3], x.arcs[2], x.arcs[1]), x.sign)
+        for x in pd.crossings
+    )
+    return PDCode(pd.m, pd.components, crossings)
+
+
 class TestPDAgainstArtin:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(pure_braids(max_strands=4, max_letters=6), st.integers(2, 6))
@@ -702,7 +733,10 @@ class TestPDAgainstArtin:
         q = min(q, 5) if braid.strands == 4 else q
         via_pd = longitudes_mod_q(braid_closure_pd(braid), q)
         via_artin = artin_longitudes(braid, q)
+        swapped = longitudes_mod_q(over_arcs_swapped(braid_closure_pd(braid)), q)
         a, b = lcq_is_free(via_pd, q), lcq_is_free(via_artin, q)
+        c = lcq_is_free(swapped, q)
+        assert (c.free, c.witness_index) == (a.free, a.witness_index)
         # past the first non-vanishing weight raw mu is not an invariant,
         # so the shallow relator of route B is not compared
         assert (a.free, a.witness_index) == (b.free, b.witness_index)

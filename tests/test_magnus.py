@@ -430,6 +430,19 @@ class TestWidth:
         with pytest.raises(ValueError, match="below X1"):
             NCSeries(3, {(0,): 1})
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((0,), {}, "degree bound must be positive"),
+            ((3, {(3,): 1}), {"width": 2}, "monomial letter X3 beyond width 2"),
+        ],
+        ids=["degree-bound-0", "letter-beyond-width"],
+    )
+    def test_constructor_checks(self, args, kwargs, message):
+        with pytest.raises(ValueError) as got:
+            NCSeries(*args, **kwargs)
+        assert (type(got.value), str(got.value)) == (ValueError, message)
+
 
 def product_terms(s: NCSeries) -> dict[Monomial, int]:
     """NCSeries.terms before it decoded positions, verbatim apart from

@@ -115,6 +115,19 @@ class TestTransformIndex:
         with pytest.raises(PreconditionError, match="mutation type"):
             transform_index((1, 2), "Q")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda system: apply_mutation(system, "X"),
+            lambda system: find_detector(system, 6, "X"),
+        ],
+        ids=["apply_mutation", "find_detector"],
+    )
+    def test_unknown_type_is_refused(self, call):
+        with pytest.raises(PreconditionError) as got:
+            call(milnor_l6_system())
+        assert str(got.value) == "unknown mutation type 'X'"
+
 
 class TestCsumMu:
     def test_hopf_plus_trivial(self):

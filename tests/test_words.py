@@ -46,6 +46,19 @@ class TestReduce:
             word = random_word(rng)
             assert Word(word.letters) == word
 
+    @pytest.mark.parametrize(
+        "letters, message",
+        [
+            (((0, 1),), "generator index must be >= 1, got 0"),
+            (((1, 0),), "letter sign must be 1 or -1, got 0"),
+        ],
+        ids=["generator-0", "sign-0"],
+    )
+    def test_bad_letter_is_refused(self, letters, message):
+        with pytest.raises(ValueError) as got:
+            Word(letters)
+        assert (type(got.value), str(got.value)) == (ValueError, message)
+
 
 class TestMultiply:
     def test_inverse_pair(self):
